@@ -50,10 +50,11 @@ Subcommands mirror the pipeline stages:
 
 ``check``, ``testgen`` and ``test`` all take ``--trace FILE`` (write a
 JSONL trace of the run) and ``--metrics`` (print the metrics table at
-the end); see docs/OBSERVABILITY.md.  They also take the engine flags
-``--workers N`` (parallel exploration — and, for ``test``, parallel
-case execution), ``--checkpoint DIR`` and ``--resume``; see
-docs/ENGINE.md.
+the end); see docs/OBSERVABILITY.md.  ``check``, ``testgen``, ``test``
+and ``conform`` take ``--checkpoint DIR`` / ``--resume`` (per-level
+snapshots of the checker); ``test``, ``faults run|replay|shrink``,
+``fuzz`` and ``soak`` take ``--workers N`` (processes running cases or
+shards, nothing else); see docs/ENGINE.md.
 
 Models: ``example``, ``xraft``, ``raftkv``, ``zab``.
 Targets: ``toycache``, ``pyxraft``, ``raftkv``, ``minizk``.
@@ -208,9 +209,8 @@ def _with_obs(args, command) -> int:
 
 
 def _check_kwargs(args) -> dict:
-    """Engine flags (--workers/--checkpoint/--resume) for check()."""
-    return dict(workers=args.workers, checkpoint=args.checkpoint,
-                resume=args.resume)
+    """The --checkpoint/--resume flags, as check() keywords."""
+    return dict(checkpoint=args.checkpoint, resume=args.resume)
 
 
 def _cmd_check(args) -> int:
@@ -276,10 +276,9 @@ def _cmd_test(args) -> int:
                       **_check_kwargs(args)).graph
         if want_faults:
             # fault planning consumes graph *ordering* (edge indices,
-            # rng-driven edge picks); serial FIFO BFS and the sharded
-            # explorer discover in different orders, so renumber into
-            # the content-only canonical form first — same plan bytes
-            # for any --workers value
+            # rng-driven edge picks); renumber into the content-only
+            # canonical form first, so plans are exchangeable with
+            # `mocket faults` and survive a resumed or reloaded graph
             from .engine import canonicalize
 
             graph = canonicalize(graph)
@@ -826,10 +825,12 @@ def main(argv: Optional[list] = None) -> int:
         add_fault_seed_flags(p)
         add_shrink_flag(p)
 
-    def add_engine_flags(p) -> None:
+    def add_workers_flag(p) -> None:
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="explore/run with N parallel worker processes "
+                       help="run cases in N parallel worker processes "
                             "(default: 1, the serial path)")
+
+    def add_checkpoint_flags(p) -> None:
         p.add_argument("--checkpoint", metavar="DIR",
                        help="snapshot checking progress to DIR after "
                             "every BFS level")
@@ -841,7 +842,7 @@ def main(argv: Optional[list] = None) -> int:
     p_check.add_argument("model")
     p_check.add_argument("--max-states", type=int, default=100_000)
     p_check.add_argument("--dot", help="dump the state-space graph to this file")
-    add_engine_flags(p_check)
+    add_checkpoint_flags(p_check)
     add_obs_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -852,7 +853,7 @@ def main(argv: Optional[list] = None) -> int:
     p_gen.add_argument("--show", type=int, default=0,
                        help="print the first N generated cases")
     p_gen.add_argument("--out", help="save the EC+POR suite to a JSON file")
-    add_engine_flags(p_gen)
+    add_checkpoint_flags(p_gen)
     add_obs_flags(p_gen)
     p_gen.set_defaults(func=_cmd_testgen)
 
@@ -869,7 +870,8 @@ def main(argv: Optional[list] = None) -> int:
     p_test.add_argument("--suite", help="run a suite saved by 'testgen --out'")
     p_test.add_argument("--stop-on-bug", action="store_true")
     add_fault_flags(p_test)
-    add_engine_flags(p_test)
+    add_workers_flag(p_test)
+    add_checkpoint_flags(p_test)
     add_obs_flags(p_test)
     p_test.set_defaults(func=_cmd_test)
 
@@ -901,7 +903,7 @@ def main(argv: Optional[list] = None) -> int:
     add_fault_seed_flags(p_frun)
     add_shrink_flag(p_frun)
     p_frun.add_argument("--cases", type=int, default=None)
-    add_engine_flags(p_frun)
+    add_workers_flag(p_frun)
     add_obs_flags(p_frun)
     p_frun.set_defaults(func=_cmd_faults)
 
@@ -911,7 +913,7 @@ def main(argv: Optional[list] = None) -> int:
     p_freplay.add_argument("--plan", required=True,
                            help="a plan written by 'faults plan --out'")
     p_freplay.add_argument("--cases", type=int, default=None)
-    add_engine_flags(p_freplay)
+    add_workers_flag(p_freplay)
     add_obs_flags(p_freplay)
     p_freplay.set_defaults(func=_cmd_faults)
 
@@ -930,7 +932,7 @@ def main(argv: Optional[list] = None) -> int:
     p_fshrink.add_argument("--log", metavar="FILE",
                            help="write the JSONL shrink log to FILE "
                                 "(readable by 'mocket trace summarize')")
-    add_engine_flags(p_fshrink)
+    add_workers_flag(p_fshrink)
     add_obs_flags(p_fshrink)
     p_fshrink.set_defaults(func=_cmd_faults)
 
@@ -974,7 +976,7 @@ def main(argv: Optional[list] = None) -> int:
     p_fuzz.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="json prints the stable v1 envelope")
-    add_engine_flags(p_fuzz)
+    add_workers_flag(p_fuzz)
     add_obs_flags(p_fuzz)
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -1092,7 +1094,7 @@ def main(argv: Optional[list] = None) -> int:
         "--ignore-unknown", action="store_true",
         help="skip events with no spec binding instead of diverging")
     p_conform.add_argument("--max-states", type=int, default=100_000)
-    add_engine_flags(p_conform)
+    add_checkpoint_flags(p_conform)
     add_obs_flags(p_conform)
     p_conform.set_defaults(func=_cmd_conform)
 

@@ -1,8 +1,8 @@
 """Conformance verdicts: divergence records, near-miss ranking, reports.
 
 A report is deliberately *timing-free*: two monitors fed the same log
-against the same spec produce byte-identical text and JSON output, for
-any worker count and any ``PYTHONHASHSEED`` — the same determinism
+against the same spec produce byte-identical text and JSON output,
+for any ``PYTHONHASHSEED`` — the same determinism
 contract every other subsystem pins with guard tests.  Wall-clock
 throughput lives in ``BENCH_conform.json``, not in the verdict.
 """

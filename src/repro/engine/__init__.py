@@ -1,4 +1,4 @@
-"""repro.engine — parallel, resumable execution engine.
+"""repro.engine — resumable checking and parallel suite execution.
 
 The engine owns *how* work runs; the checker/testgen/testbed layers own
 *what* runs.  It provides:
@@ -6,11 +6,9 @@ The engine owns *how* work runs; the checker/testgen/testbed layers own
 * :mod:`~repro.engine.fingerprint` — stable 64-bit state fingerprints
   over a canonical byte encoding (process- and run-independent, unlike
   Python's randomized ``hash``),
-* :mod:`~repro.engine.explorer` — a sharded, level-synchronous parallel
-  BFS (:class:`ShardedExplorer`) whose replayed graph is bit-identical
-  for any worker count, selected via ``check(spec, workers=N)``,
 * :mod:`~repro.engine.checkpoint` — per-level snapshot/resume storage
-  (:class:`CheckpointStore`) for long checking runs,
+  (:class:`CheckpointStore`) and the level-boundary hook the model
+  checker calls when one is attached,
 * :mod:`~repro.engine.canon` — deterministic canonical renumbering of
   state graphs, the oracle for "same exploration, different order",
 * :mod:`~repro.engine.executor` — parallel ``mocket test`` suite
@@ -21,13 +19,11 @@ See ``docs/ENGINE.md`` for the architecture.
 
 from .canon import canonical_signature, canonicalize, graphs_equivalent
 from .checkpoint import CheckpointError, CheckpointStore
-from .executor import run_suite_parallel
-from .explorer import (
+from .executor import (
     EngineError,
     EngineFallbackWarning,
-    ShardedExplorer,
-    explore,
     fork_available,
+    run_suite_parallel,
 )
 from .fingerprint import (
     FingerprintCollision,
@@ -37,7 +33,6 @@ from .fingerprint import (
     fingerprint_label,
     fingerprint_state,
     fingerprint_value,
-    shard_of,
 )
 
 __all__ = [
@@ -46,18 +41,15 @@ __all__ = [
     "EngineError",
     "EngineFallbackWarning",
     "FingerprintCollision",
-    "ShardedExplorer",
     "canonical_signature",
     "canonical_state",
     "canonical_value",
     "canonicalize",
     "encode_canonical",
-    "explore",
     "fingerprint_label",
     "fingerprint_state",
     "fingerprint_value",
     "fork_available",
     "graphs_equivalent",
     "run_suite_parallel",
-    "shard_of",
 ]

@@ -1,8 +1,9 @@
 """Deterministic canonical renumbering of state graphs.
 
-Two explorations of the same specification can discover the same states
-and edges in different orders (serial FIFO BFS vs. the sharded parallel
-explorer, or a graph reloaded from a DOT dump with renumbered nodes).
+Two graphs of the same specification can hold the same states and
+edges in different orders (a checkpoint written by an explorer that
+discovered in another order, or a graph reloaded from a DOT dump with
+renumbered nodes).
 :func:`canonicalize` renumbers any :class:`StateGraph` into a canonical
 form that depends only on the graph's *content* — the state set, the
 edge multiset and the initial states — never on discovery order:
@@ -18,8 +19,9 @@ edge multiset and the initial states — never on discovery order:
 Two graphs hold the same states/edges/labels iff their canonical forms
 render to identical DOT text; :func:`canonical_signature` hashes that
 text for cheap comparison and :func:`graphs_equivalent` wraps the
-comparison.  This is the oracle behind the engine's determinism
-guarantee: ``check(workers=N)`` must be equivalent to ``workers=1``.
+comparison.  Everything that consumes graph *ordering* across runs —
+fault plans, fuzz corpora, conformance verdicts — renumbers through
+here first.
 """
 
 from __future__ import annotations

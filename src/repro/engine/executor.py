@@ -6,7 +6,7 @@ scheduler notifications, action completion events and quiesce delays.
 Running cases in worker processes overlaps those waits, so suite
 throughput scales with workers even on a single core.
 
-Design mirrors the sharded explorer's backend:
+Design:
 
 * workers are **forked**, so the tester — whose ``cluster_factory`` is
   usually an unpicklable closure — crosses the process boundary by
@@ -24,7 +24,7 @@ Design mirrors the sharded explorer's backend:
   serial stop-early result list,
 * a dead worker (crashed cluster process, OOM kill) is detected while
   draining the result queue and surfaces as
-  :class:`~repro.engine.explorer.EngineError` instead of a hang.
+  :class:`EngineError` instead of a hang.
 
 Tester contract: ``run_case`` must be self-contained — any per-case
 mutable state has to be (re)initialized at case start, because each
@@ -56,9 +56,22 @@ from typing import List, Optional
 from ..obs import METRICS, TRACER
 from ..core.testbed.report import SuiteResult, TestCaseResult
 from ..core.testgen.testcase import TestSuite
-from .explorer import EngineError, EngineFallbackWarning, fork_available
 
-__all__ = ["run_suite_parallel"]
+__all__ = ["EngineError", "EngineFallbackWarning", "fork_available",
+           "run_suite_parallel"]
+
+
+class EngineError(RuntimeError):
+    """A worker process died or broke the exchange protocol."""
+
+
+class EngineFallbackWarning(UserWarning):
+    """Parallel workers were requested but process support is missing."""
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists (POSIX)."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _case_worker(tester, cases, task_queue, result_queue, worker_index) -> None:

@@ -1,8 +1,8 @@
 """Stable 64-bit state fingerprints (TLC's FP64 analogue).
 
-The serial checker deduplicates states with Python's built-in ``hash``,
+The checker deduplicates states with Python's built-in ``hash``,
 which is randomized per process (``PYTHONHASHSEED``) and therefore
-useless for identifying a state across worker processes or across a
+useless for identifying a state across processes or across a
 checkpoint/restart boundary.  This module derives a stable 64-bit
 fingerprint from a *canonical byte encoding* of the frozen value tree:
 
@@ -13,13 +13,12 @@ fingerprint from a *canonical byte encoding* of the frozen value tree:
   order never leaks into the encoding,
 * the encoding is injective on the frozen value domain (every element
   is length-prefixed and type-tagged), so two states collide only if
-  the 64-bit hash itself collides — which the engine detects by keeping
-  the exact states alongside the fingerprints (see
+  the 64-bit hash itself collides — which the checkpoint writer detects
+  because the checker interns exact states, never fingerprints (see
   :class:`FingerprintCollision`).
 
-Fingerprints partition the state space across workers:
-``shard_of(fp, shards)`` is the hash partition used by the sharded
-seen-sets of :mod:`repro.engine.explorer`.
+Checkpoints, fuzz coverage, fault triage ids and the conformance
+monitor key on it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "fingerprint_label",
     "fingerprint_state",
     "fingerprint_value",
-    "shard_of",
 ]
 
 _PERSON = b"mocket-fp64"  # domain-separates these hashes from any other blake2b use
@@ -48,9 +46,10 @@ class FingerprintCollision(RuntimeError):
     """Two structurally different states produced the same fingerprint.
 
     With 64-bit fingerprints this is astronomically unlikely at the
-    state-space sizes we explore; the sharded explorer still verifies
-    exact state equality on every dedup hit so a collision surfaces as
-    this error instead of a silently merged state graph.
+    state-space sizes we explore; the checkpoint writer still checks
+    every newly interned state's fingerprint against those already
+    written, so a collision surfaces as this error instead of a
+    snapshot that silently merges two states on resume.
     """
 
 
@@ -121,8 +120,8 @@ def canonical_value(value: Any) -> Any:
     ``Specification.enabled()`` emission order — and hence into graph
     numbering.  Rebuilding every container with entries inserted in
     canonical (encoded-byte) order makes iteration order a function of
-    the state's *content*, which is what lets different worker counts
-    produce bit-identical graphs.
+    the state's *content*, which is what makes
+    :func:`~repro.engine.canon.canonicalize` a content-only form.
     """
     if isinstance(value, FrozenDict):
         entries = sorted(
@@ -171,7 +170,3 @@ def fingerprint_label(label: ActionLabel) -> int:
     """Stable unsigned 64-bit fingerprint of an action label."""
     return fingerprint_value((label.name, label.params))
 
-
-def shard_of(fingerprint: int, shards: int) -> int:
-    """The hash partition owning ``fingerprint`` among ``shards`` workers."""
-    return fingerprint % shards

@@ -21,11 +21,8 @@ Metric names in use across the pipeline (see docs/OBSERVABILITY.md):
 ``runner.step_seconds`` ``statecheck.compares``
 ``statecheck.mismatches`` ``divergence.<kind>`` ``fault.injected``
 
-The parallel engine (docs/ENGINE.md) adds:
+The parallel suite executor (docs/ENGINE.md) adds:
 
-``engine.workers`` ``engine.levels`` ``engine.states``
-``engine.edges`` ``engine.states_per_sec`` ``engine.shard_max``
-``engine.shard_balance`` ``engine.worker_utilization``
 ``engine.executor_workers`` ``engine.cases_per_sec``
 ``engine.executor_utilization``
 """

@@ -23,8 +23,11 @@ separating a quiet tail from a wedged cluster).
 
 from __future__ import annotations
 
+import multiprocessing
+import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..engine.executor import EngineFallbackWarning, fork_available
 from ..obs import METRICS, TRACER
 from ..runtime.sim import SimScheduler
 from ..systems.raftkv.sim import (
@@ -304,8 +307,13 @@ def run_soak(config: SoakConfig) -> List[Dict[str, Any]]:
         indices = list(range(config.shards))
         workers = min(config.workers, config.shards)
         results: List[Dict[str, Any]] = []
-        if workers > 1 and _fork_available():
-            import multiprocessing
+        if workers > 1 and not fork_available():
+            warnings.warn(
+                "the 'fork' start method is unavailable on this platform; "
+                "running the shards serially", EngineFallbackWarning,
+                stacklevel=2)
+            workers = 1
+        if workers > 1:
             ctx = multiprocessing.get_context("fork")
             kwargs = _config_kwargs(config)
             with ctx.Pool(workers) as pool:
@@ -329,8 +337,3 @@ def run_soak(config: SoakConfig) -> List[Dict[str, Any]]:
         METRICS.counter("soak.divergences").inc(
             sum(sum(s["divergences"].values()) for s in results))
         return results
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-    return "fork" in multiprocessing.get_all_start_methods()

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections import deque
 from typing import Dict, List, Optional
 
 from ..obs import METRICS, TRACER
 from .errors import CheckingBudgetExceeded, InvariantViolation
 from .graph import StateGraph
 from .spec import Specification
-from .state import ActionLabel, State
 
 __all__ = ["CheckResult", "ModelChecker", "TruncatedExplorationWarning", "check"]
 
@@ -103,6 +101,14 @@ class ModelChecker:
     when ``truncate=True``) so that unboundedly growing specs can still
     be used to produce a finite graph for test generation — the paper's
     action counters serve the same purpose inside the spec itself.
+
+    ``checkpoint`` (a directory path or
+    :class:`~repro.engine.CheckpointStore`) snapshots progress at every
+    BFS level boundary; ``resume=True`` continues from the latest
+    snapshot and yields the graph an uninterrupted run would have.
+    Snapshots stop at the first refused successor (a truncated level
+    cannot be resumed from) and the final one is written only for a
+    complete run, so the directory always holds a resumable level.
     """
 
     def __init__(
@@ -111,11 +117,22 @@ class ModelChecker:
         max_states: Optional[int] = None,
         truncate: bool = False,
         stop_on_violation: bool = True,
+        checkpoint=None,
+        resume: bool = False,
     ):
+        if resume and checkpoint is None:
+            raise ValueError("resume=True requires a checkpoint store")
         self.spec = spec
         self.max_states = max_states
         self.truncate = truncate
         self.stop_on_violation = stop_on_violation
+        self.resume = resume
+        self._snapshots = None
+        if checkpoint is not None:
+            # lazy: engine builds on this module
+            from ..engine.checkpoint import Checkpointer
+
+            self._snapshots = Checkpointer(checkpoint, spec.name)
 
     def run(self) -> CheckResult:
         with TRACER.span("checker.run", spec=self.spec.name,
@@ -132,75 +149,95 @@ class ModelChecker:
         start = time.monotonic()
         # hot path: sample the flag once; a run is all-or-nothing traced
         tracing = TRACER.enabled
-        level = 0
-        graph = StateGraph(self.spec.name)
-        # parent pointers for counterexample traces: node -> (pred, label)
-        parents: Dict[int, Optional[tuple]] = {}
-        depth: Dict[int, int] = {}
-        frontier = deque()
+        snapshots = self._snapshots
         violation: Optional[InvariantViolation] = None
         complete = True
         refused = 0
+        level = 0          # BFS depth of the states in ``frontier``
 
-        for state in self.spec.initial_states():
-            node_id = graph.add_state(state, initial=True)
-            if node_id not in parents:
-                parents[node_id] = None
-                depth[node_id] = 0
-                frontier.append(node_id)
-                violation = self._check_state(graph, parents, node_id)
-                if violation is not None and self.stop_on_violation:
-                    return self._finish(graph, start, complete=False, depth=depth,
-                                        violation=violation, refused=refused)
+        if self.resume:
+            graph, parents, frontier, level, violated = snapshots.restore()
+            if violated is not None:
+                violation = self._violation(graph, parents, *violated)
+                if self.stop_on_violation:
+                    return self._finish(graph, start, False, level,
+                                        violation, refused)
+        else:
+            graph = StateGraph(self.spec.name)
+            # parent pointers for counterexample traces: node -> (pred, label)
+            parents: Dict[int, Optional[tuple]] = {}
+            frontier: List[int] = []
+            for state in self.spec.initial_states():
+                node_id = graph.add_state(state, initial=True)
+                if node_id not in parents:
+                    parents[node_id] = None
+                    frontier.append(node_id)
+                    found = self._check_state(graph, parents, node_id)
+                    if found is not None:
+                        violation = violation or found
+                        if self.stop_on_violation:
+                            return self._finish(graph, start, False, level,
+                                                violation, refused)
 
-        edges_explored = 0
-        while frontier:
-            node_id = frontier.popleft()
-            if tracing and depth[node_id] > level:
-                # BFS pops in nondecreasing depth order: a new level starts
-                level = depth[node_id]
-                TRACER.emit("checker.bfs_level", level=level,
-                            frontier=len(frontier) + 1,
-                            states=graph.num_states, edges=edges_explored)
-                METRICS.gauge("checker.frontier_peak").max(len(frontier) + 1)
-            state = graph.state_of(node_id)
-            for label, successor in self.spec.enabled(state):
-                succ_id = graph.id_of(successor)
-                is_new = succ_id is None
-                if is_new:
-                    if self.max_states is not None and graph.num_states >= self.max_states:
-                        if self.truncate:
-                            # the refused successor is not part of the graph:
-                            # do not count it as an explored edge either
-                            if complete:
-                                TRACER.emit("checker.truncated",
-                                            states=graph.num_states,
-                                            max_states=self.max_states,
-                                            level=depth[node_id] + 1)
-                            complete = False
-                            refused += 1
-                            continue
-                        raise CheckingBudgetExceeded(graph.num_states, self.max_states)
-                    succ_id = graph.add_state(successor)
-                edges_explored += 1
-                graph.add_edge(node_id, succ_id, label)
-                if is_new:
-                    parents[succ_id] = (node_id, label)
-                    depth[succ_id] = depth[node_id] + 1
-                    frontier.append(succ_id)
-                    violation = self._check_state(graph, parents, succ_id)
-                    if violation is not None and self.stop_on_violation:
-                        return self._finish(graph, start, complete=False, depth=depth,
-                                            violation=violation, refused=refused)
+        # FIFO BFS, one level per round of the outer loop
+        while True:
+            if snapshots is not None and complete:
+                snapshots.save(graph, frontier, level, not frontier,
+                               violation, start)
+            if not frontier:
+                break
+            next_frontier: List[int] = []
+            for node_id in frontier:
+                state = graph.state_of(node_id)
+                for label, successor in self.spec.enabled(state):
+                    succ_id = graph.id_of(successor)
+                    is_new = succ_id is None
+                    if is_new:
+                        if self.max_states is not None and graph.num_states >= self.max_states:
+                            if self.truncate:
+                                # the refused successor is not part of the graph:
+                                # do not count it as an explored edge either
+                                if complete:
+                                    TRACER.emit("checker.truncated",
+                                                states=graph.num_states,
+                                                max_states=self.max_states,
+                                                level=level + 1)
+                                complete = False
+                                refused += 1
+                                continue
+                            raise CheckingBudgetExceeded(graph.num_states, self.max_states)
+                        succ_id = graph.add_state(successor)
+                    graph.add_edge(node_id, succ_id, label)
+                    if is_new:
+                        parents[succ_id] = (node_id, label)
+                        next_frontier.append(succ_id)
+                        found = self._check_state(graph, parents, succ_id)
+                        if found is not None:
+                            violation = violation or found
+                            if self.stop_on_violation:
+                                return self._finish(graph, start, False,
+                                                    level + 1, violation,
+                                                    refused)
+            frontier = next_frontier
+            if frontier:
+                level += 1
+                if tracing:
+                    TRACER.emit("checker.bfs_level", level=level,
+                                frontier=len(frontier),
+                                states=graph.num_states,
+                                edges=graph.num_edges)
+                    METRICS.gauge("checker.frontier_peak").max(len(frontier))
 
-        return self._finish(graph, start, complete=complete, depth=depth,
-                            violation=violation, refused=refused)
+        return self._finish(graph, start, complete, level, violation, refused)
 
     # -- helpers -------------------------------------------------------------
     def _check_state(self, graph, parents, node_id) -> Optional[InvariantViolation]:
         inv_name = self.spec.check_invariants(graph.state_of(node_id))
         if inv_name is None:
             return None
+        return self._violation(graph, parents, node_id, inv_name)
+
+    def _violation(self, graph, parents, node_id, inv_name) -> InvariantViolation:
         return InvariantViolation(
             inv_name, graph.state_of(node_id), self.trace_to(graph, parents, node_id)
         )
@@ -222,10 +259,9 @@ class ModelChecker:
         steps.reverse()
         return steps
 
-    def _finish(self, graph, start, complete, depth, violation,
-                refused: int = 0) -> CheckResult:
+    def _finish(self, graph, start, complete, diameter, violation,
+                refused) -> CheckResult:
         elapsed = time.monotonic() - start
-        diameter = max(depth.values()) if depth else 0
         if TRACER.enabled:
             METRICS.set_gauge("checker.states", graph.num_states)
             METRICS.set_gauge("checker.edges", graph.num_edges)
@@ -259,29 +295,20 @@ def check(
 ) -> CheckResult:
     """Convenience wrapper: model-check ``spec`` and return the result.
 
-    ``workers > 1`` runs the sharded parallel explorer from
-    :mod:`repro.engine`; ``checkpoint`` (a directory path or
-    :class:`~repro.engine.CheckpointStore`) snapshots progress per BFS
-    level so an interrupted run can continue with ``resume=True``.
-    ``workers=1`` without a checkpoint is the classic serial checker.
+    ``checkpoint``/``resume`` are :class:`ModelChecker`'s.  ``workers``
+    is accepted and **ignored**: there is one explorer and it is serial.
+    The keyword survives only because the frozen pipeline benchmark's
+    ``explore-ladder`` round calls ``check(spec, workers=2)``; it goes
+    when that benchmark retires its ``engine.sharded_w2*`` stage.
     """
-    if workers != 1 or checkpoint is not None or resume:
-        from ..engine import ShardedExplorer  # lazy: engine builds on this module
-
-        return ShardedExplorer(
-            spec,
-            workers=workers,
-            max_states=max_states,
-            truncate=truncate,
-            stop_on_violation=stop_on_violation,
-            checkpoint=checkpoint,
-            resume=resume,
-        ).run()
+    del workers
     return ModelChecker(
         spec,
         max_states=max_states,
         truncate=truncate,
         stop_on_violation=stop_on_violation,
+        checkpoint=checkpoint,
+        resume=resume,
     ).run()
 
 

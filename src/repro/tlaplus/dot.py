@@ -67,6 +67,25 @@ def _untag(literal: Any) -> Any:
     return literal
 
 
+def _pretty(value: Any) -> str:
+    """``repr`` with set elements and dict entries sorted.
+
+    A ``frozenset``'s own ``repr`` follows its hash-table layout, which
+    moves with ``PYTHONHASHSEED``; the human ``label=`` must not.
+    """
+    if isinstance(value, FrozenDict):
+        entries = sorted((_pretty(k), _pretty(v)) for k, v in value.items())
+        return "FrozenDict({%s})" % ", ".join(f"{k}: {v}" for k, v in entries)
+    if isinstance(value, frozenset):
+        if not value:
+            return "frozenset()"
+        return "frozenset({%s})" % ", ".join(sorted(map(_pretty, value)))
+    if isinstance(value, tuple):
+        body = ", ".join(map(_pretty, value))
+        return f"({body},)" if len(value) == 1 else f"({body})"
+    return repr(value)
+
+
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -82,7 +101,7 @@ def to_dot(graph: StateGraph) -> str:
     for node_id, state in graph.states():
         encoded = encode_value(state._vars)  # FrozenDict of variables
         shape = ' shape=doublecircle' if node_id in initial else ""
-        pretty = " /\\ ".join(f"{k}={v!r}" for k, v in state.items())
+        pretty = " /\\ ".join(f"{k}={_pretty(v)}" for k, v in state.items())
         lines.append(
             f'  {node_id} [label="{_dot_escape(pretty)}" state="{_dot_escape(encoded)}"'
             f'{shape}];'

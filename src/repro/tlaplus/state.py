@@ -92,10 +92,6 @@ class State:
         body = " /\\ ".join(f"{name}={value!r}" for name, value in self.items())
         return f"State({body})"
 
-    def fingerprint(self) -> int:
-        """A stable structural fingerprint (TLC's state fingerprint analogue)."""
-        return hash(self._vars)
-
 
 class ActionLabel:
     """The label of a state-graph edge: action name + parameter binding."""

@@ -1,10 +1,10 @@
 """Determinism guard: `mocket conform` output must be byte-identical
-for any ``--workers`` count and any ``PYTHONHASHSEED``.
+for any ``PYTHONHASHSEED``.
 
 The verdict and first-divergence line are consumed by CI gates and
 bug-report digests, so they are pinned the same way fault plans and
-canonical graphs are: subprocess runs under different hash seeds and
-worker counts must produce identical stdout (text *and* JSON forms).
+canonical graphs are: subprocess runs under different hash seeds must
+produce identical stdout (text *and* JSON forms).
 """
 
 import json
@@ -18,13 +18,13 @@ SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
-def run_conform(log, hashseed, workers, fmt="json"):
+def run_conform(log, hashseed, fmt="json"):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hashseed)
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "conform", str(log),
-         "--spec", "raftkv", "--format", fmt, "--workers", str(workers)],
+         "--spec", "raftkv", "--format", fmt],
         capture_output=True, text=True, env=env, timeout=240)
     assert proc.returncode in (0, 1), proc.stderr
     return proc.returncode, proc.stdout
@@ -52,34 +52,30 @@ def raftkv_logs(tmp_path_factory):
 
 @pytest.mark.slow
 class TestConformDeterminism:
-    def test_verdict_bytes_identical_across_seeds_and_workers(
-            self, raftkv_logs):
+    def test_verdict_bytes_identical_across_seeds(self, raftkv_logs):
         good, _bad, _line = raftkv_logs
         outputs = {}
         for hashseed in (0, 42):
-            for workers in (1, 4):
-                code, out = run_conform(good, hashseed, workers)
-                assert code == 0, out
-                outputs[(hashseed, workers)] = out
+            code, out = run_conform(good, hashseed)
+            assert code == 0, out
+            outputs[hashseed] = out
         assert len(set(outputs.values())) == 1, (
-            "conform JSON differs across PYTHONHASHSEED/--workers")
+            "conform JSON differs across PYTHONHASHSEED")
 
-    def test_divergence_line_identical_across_seeds_and_workers(
-            self, raftkv_logs):
+    def test_divergence_line_identical_across_seeds(self, raftkv_logs):
         _good, bad, line = raftkv_logs
         outputs = {}
         for hashseed in (0, 42):
-            for workers in (1, 4):
-                code, out = run_conform(bad, hashseed, workers)
-                assert code == 1, out
-                payload = json.loads(out)
-                assert payload["first_divergence"]["line"] == line
-                outputs[(hashseed, workers)] = out
+            code, out = run_conform(bad, hashseed)
+            assert code == 1, out
+            payload = json.loads(out)
+            assert payload["first_divergence"]["line"] == line
+            outputs[hashseed] = out
         assert len(set(outputs.values())) == 1, (
-            "divergence report differs across PYTHONHASHSEED/--workers")
+            "divergence report differs across PYTHONHASHSEED")
 
     def test_text_report_identical_too(self, raftkv_logs):
         _good, bad, _line = raftkv_logs
-        first = run_conform(bad, 0, 1, fmt="text")
-        second = run_conform(bad, 42, 4, fmt="text")
+        first = run_conform(bad, 0, fmt="text")
+        second = run_conform(bad, 42, fmt="text")
         assert first == second

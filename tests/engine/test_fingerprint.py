@@ -13,7 +13,6 @@ from repro.engine import (
     fingerprint_label,
     fingerprint_state,
     fingerprint_value,
-    shard_of,
 )
 from repro.tlaplus.state import ActionLabel, State
 from repro.tlaplus.values import FrozenDict
@@ -82,11 +81,6 @@ class TestFingerprint:
         output = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
         assert int(output.stdout.strip()) == value
-
-    def test_shard_of_partitions_completely(self):
-        for fp in (0, 1, 17, 2 ** 64 - 1):
-            assert 0 <= shard_of(fp, 4) < 4
-        assert shard_of(9, 3) == 0
 
 
 class TestCanonicalValue:

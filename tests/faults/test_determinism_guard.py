@@ -1,9 +1,8 @@
 """Determinism guard for fault injection (the tentpole's core contract):
 
 * the same ``--fault-seed`` over the same model yields a byte-identical
-  ``FaultPlan`` JSON — regardless of whether the graph came from the
-  serial checker or the sharded parallel explorer (canonical
-  renumbering erases discovery order),
+  ``FaultPlan`` JSON — regardless of how the graph was numbered
+  (canonical renumbering erases discovery order),
 * running the injected suite with ``workers=1`` and ``workers=2``
   yields identical divergence reports and triage payloads.
 
@@ -75,6 +74,8 @@ class TestPlanBytes:
     @pytest.mark.skipif(not fork_available(),
                         reason="parallel explorer needs fork")
     def test_serial_and_parallel_exploration_plan_identically(self):
+        # check() ignores ``workers`` since the sharded explorer was
+        # deleted; this goes when the keyword does (CHANGES.md, PR 12)
         _, mapping, serial_graph, serial_suite = build_kit(workers=1)
         _, mapping2, parallel_graph, parallel_suite = build_kit(workers=2)
         serial_plan = plan_faults(serial_graph, serial_suite, mapping,

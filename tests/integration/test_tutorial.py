@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.engine import fork_available
 
 TUTORIAL = Path(__file__).resolve().parents[2] / "docs" / "TUTORIAL.md"
 
@@ -58,8 +57,6 @@ def match_lines(expected, actual):
     return go(0, 0)
 
 
-@pytest.mark.skipif(not fork_available(),
-                    reason="the tutorial uses --workers 2")
 def test_tutorial_blocks_run_verbatim(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     steps = parse_blocks(TUTORIAL.read_text())

@@ -117,6 +117,15 @@ class TestWorkers:
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
 
+    def test_missing_fork_warns_like_the_suite_executor(self, monkeypatch):
+        from repro.engine import EngineFallbackWarning
+        from repro.soak import runner
+
+        monkeypatch.setattr(runner, "fork_available", lambda: False)
+        with pytest.warns(EngineFallbackWarning, match="fork"):
+            fallen_back = run_soak(small_config(workers=2))
+        assert fallen_back == run_soak(small_config(workers=1))
+
 
 class TestMonitor:
     def test_dual_leader_recorded(self):

@@ -59,7 +59,6 @@ class TestState:
         b = State({"s": {2, 1}, "n": 1})
         assert a == b
         assert hash(a) == hash(b)
-        assert a.fingerprint() == b.fingerprint()
 
     def test_as_dict_thaws(self):
         state = State({"log": [1], "s": {2}})
