@@ -32,11 +32,12 @@ import os
 import sys
 import time
 
-from repro.cli import _spec_independence, _target_kit
+from repro.analysis.effects import analyze_spec
 from repro.core import RunnerConfig, generate_test_cases
 from repro.engine import canonicalize
 from repro.faults import FaultConfig
 from repro.fuzz import fuzz_campaign
+from repro.systems.catalog import kit
 from repro.tlaplus import check
 
 FAST = RunnerConfig(match_timeout=2.0, done_timeout=2.0,
@@ -78,12 +79,12 @@ def main(argv=None) -> int:
     parser.add_argument("--max-states", type=int, default=2000)
     args = parser.parse_args(argv)
 
-    spec, mapping, cluster_factory = _target_kit("raftkv", None)
+    spec, mapping, cluster_factory = kit("raftkv")
     graph = canonicalize(check(spec, max_states=args.max_states,
                                truncate=True).graph)
     suite = generate_test_cases(
         graph, por=True, seed=0,
-        independence=_spec_independence(spec)).truncated(args.cases)
+        independence=analyze_spec(spec).independence()).truncated(args.cases)
     kit = (mapping, cluster_factory, graph, suite)
 
     print(f"fuzz bench: raftkv, {graph.num_states} states / "

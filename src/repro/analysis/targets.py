@@ -1,11 +1,10 @@
 """Resolving lint target names to :class:`LintContext` objects.
 
-A *system* target (``toycache``/``pyxraft``/``raftkv``/``minizk``)
-yields the full triple — spec, mapping and the :class:`ImplModel`
-parsed from the system's package — using the same default builders the
-``mocket test`` command uses, so the linter checks exactly what the
-testbed would run.  A *spec* target (``example``/``xraft``/``zab``)
-yields the specification alone; only the spec rules apply.
+Names come from :mod:`repro.systems.catalog`.  A *system* target yields
+the full triple — the catalog's spec and mapping (what ``mocket test``
+runs) plus the :class:`ImplModel` parsed from the system's package.  A
+*bare model* (a model name that is not also a system) yields the
+specification alone; only the spec rules apply.
 """
 
 from __future__ import annotations
@@ -13,84 +12,27 @@ from __future__ import annotations
 import os
 from typing import List
 
+from ..systems.catalog import (
+    BARE_MODELS, TARGETS, UnknownName, get_model, get_target, kit,
+)
 from .astmodel import ImplModel
 from .engine import LintContext
 
-__all__ = ["SYSTEM_TARGETS", "SPEC_TARGETS", "resolve", "all_targets"]
-
-SYSTEM_TARGETS = ("toycache", "pyxraft", "raftkv", "minizk")
-SPEC_TARGETS = ("example", "xraft", "zab")
+__all__ = ["resolve", "all_targets"]
 
 
-def _impl_model(package) -> ImplModel:
-    return ImplModel.from_package(os.path.dirname(package.__file__))
-
-
-def _resolve_system(name: str) -> LintContext:
-    if name == "toycache":
-        from ..specs import build_example_spec
-        from ..systems import toycache
-        from ..systems.toycache import build_toycache_mapping
-
-        spec = build_example_spec()
-        return LintContext(name, spec, build_toycache_mapping(),
-                           _impl_model(toycache))
-    if name == "pyxraft":
-        from ..systems import pyxraft
-        from ..systems.pyxraft import XraftConfig, build_xraft_mapping
-        from ..systems.pyxraft.mapping import default_xraft_spec
-
-        spec = default_xraft_spec()
-        return LintContext(name, spec,
-                           build_xraft_mapping(spec, XraftConfig()),
-                           _impl_model(pyxraft))
-    if name == "raftkv":
-        from ..systems import raftkv
-        from ..systems.raftkv import RaftKvConfig, build_raftkv_mapping
-        from ..systems.raftkv.mapping import default_raftkv_spec
-
-        spec = default_raftkv_spec()
-        return LintContext(name, spec,
-                           build_raftkv_mapping(spec, RaftKvConfig()),
-                           _impl_model(raftkv))
-    if name == "minizk":
-        from ..systems import minizk
-        from ..systems.minizk import MiniZkConfig, build_minizk_mapping
-        from ..systems.minizk.mapping import default_zab_spec
-
-        spec = default_zab_spec()
-        return LintContext(name, spec,
-                           build_minizk_mapping(spec, MiniZkConfig()),
-                           _impl_model(minizk))
-    raise AssertionError(name)
-
-
-def _resolve_spec(name: str) -> LintContext:
-    if name == "example":
-        from ..specs import build_example_spec
-
-        return LintContext(name, build_example_spec())
-    if name == "xraft":
-        from ..systems.pyxraft.mapping import default_xraft_spec
-
-        return LintContext(name, default_xraft_spec())
-    if name == "zab":
-        from ..systems.minizk.mapping import default_zab_spec
-
-        return LintContext(name, default_zab_spec())
-    raise AssertionError(name)
+def all_targets() -> List[str]:
+    """Every bundled target name: systems first, then bare models."""
+    return [*TARGETS, *BARE_MODELS]
 
 
 def resolve(name: str) -> LintContext:
     """Build the lint context for one target name."""
-    if name in SYSTEM_TARGETS:
-        return _resolve_system(name)
-    if name in SPEC_TARGETS:
-        return _resolve_spec(name)
-    known = "|".join(SYSTEM_TARGETS + SPEC_TARGETS)
-    raise ValueError(f"unknown lint target {name!r} (known: {known})")
-
-
-def all_targets() -> List[str]:
-    """Every bundled target name, systems first."""
-    return list(SYSTEM_TARGETS) + list(SPEC_TARGETS)
+    if name in TARGETS:
+        spec, mapping, _factory = kit(name)
+        package = os.path.dirname(get_target(name).package.__file__)
+        return LintContext(name, spec, mapping, ImplModel.from_package(package))
+    if name in BARE_MODELS:
+        return LintContext(name, get_model(name)())
+    raise UnknownName(
+        f"unknown lint target {name!r} (known: {'|'.join(all_targets())})")

@@ -10,7 +10,7 @@ from .endstates import (
 )
 from .generator import generate_test_cases
 from .por import Diamond, diamond_stats, find_diamonds, por_excluded_edges
-from .scenario import ScenarioError, label, scenario_case
+from .scenario import Scenario, ScenarioError, label, scenario_case
 from .testcase import TestCase, TestStep, TestSuite
 from .traversal import TraversalResult, edge_coverage_paths, node_coverage_paths
 
@@ -29,6 +29,7 @@ __all__ = [
     "node_coverage_paths",
     "node_ids",
     "ScenarioError",
+    "Scenario",
     "scenario_case",
     "por_excluded_edges",
     "reached_by",

@@ -24,11 +24,29 @@ from ...tlaplus.spec import Specification
 from ...tlaplus.state import ActionLabel
 from .testcase import TestCase
 
-__all__ = ["ScenarioError", "label", "scenario_case"]
+__all__ = ["Scenario", "ScenarioError", "label", "scenario_case"]
 
 
 class ScenarioError(Exception):
     """The scenario schedule is not a behaviour of the specification."""
+
+
+class Scenario:
+    """A named bug-revealing schedule (one Table 2 row) for a system."""
+
+    def __init__(self, name, spec, graph, case, buggy_config, expected_kind,
+                 expected_subject, servers, correct_config=None,
+                 is_spec_bug=False):
+        self.name = name
+        self.spec = spec
+        self.graph = graph
+        self.case = case
+        self.buggy_config = buggy_config      # config expected to diverge
+        self.correct_config = correct_config  # config expected to pass (None: the default)
+        self.expected_kind = expected_kind        # DivergenceKind value
+        self.expected_subject = expected_subject  # variable or action name
+        self.servers = servers
+        self.is_spec_bug = is_spec_bug  # the divergence is the spec's: no fixed build
 
 
 def label(name: str, **params) -> ActionLabel:

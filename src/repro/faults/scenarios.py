@@ -34,7 +34,9 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..core.testgen import label, scenario_case
-from ..specs.raft import RaftSpecOptions, build_raft_spec
+from ..specs.raft import (
+    RaftSpecOptions, build_raft_spec, rv_request, rv_response,
+)
 from ..specs.zab import ZabSpecOptions, build_zab_spec
 from .kinds import ChaosKind, InjectionMode
 from .plan import FaultInjection, FaultPlan
@@ -50,16 +52,6 @@ __all__ = [
 ]
 
 
-def _rv_request(src, dst, term, llt=0, lli=0):
-    return {"mtype": "RequestVoteRequest", "mterm": term, "mlastLogTerm": llt,
-            "mlastLogIndex": lli, "msource": src, "mdest": dst}
-
-
-def _rv_response(src, dst, term, granted):
-    return {"mtype": "RequestVoteResponse", "mterm": term,
-            "mvoteGranted": granted, "msource": src, "mdest": dst}
-
-
 class ChaosScenario:
     """A named chaos scenario with its expected triage outcome."""
 
@@ -67,7 +59,7 @@ class ChaosScenario:
                  plan: FaultPlan, servers, expected_kind: str,
                  expected_verdict: str):
         self.name = name
-        self.target = target          # system kit: "raftkv" | "pyxraft" | "minizk"
+        self.target = target          # a repro.systems.catalog target name
         self.spec = spec
         self.graph = graph
         self.case = case
@@ -88,8 +80,8 @@ def raftkv_bounce_leader() -> ChaosScenario:
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 1, True)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 1, True)),
         label("BecomeLeader", i="n1"),
     ]
     graph, case = scenario_case(spec, schedule)
@@ -115,7 +107,7 @@ def pyxraft_crash_blackout() -> ChaosScenario:
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
     ]
     graph, case = scenario_case(spec, schedule)
     plan = FaultPlan("scenario", [
@@ -139,8 +131,8 @@ def pyxraft_partition_transparent() -> ChaosScenario:
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 1, True)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 1, True)),
         label("BecomeLeader", i="n1"),
     ]
     graph, case = scenario_case(spec, schedule)
@@ -168,14 +160,14 @@ def pyxraft_modeled_message_faults() -> ChaosScenario:
     )
     assert options.fault_actions() == ("DropMessage", "DuplicateMessage")
     spec = build_raft_spec(options)
-    request = _rv_request("n1", "n2", 1)
+    request = rv_request("n1", "n2", 1)
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
         label("DuplicateMessage", m=request),
         label("DropMessage", m=request),
         label("HandleRequestVoteRequest", m=request),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 1, True)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 1, True)),
     ]
     graph, case = scenario_case(spec, schedule)
     plan = FaultPlan("scenario", [], chaos=False, target="pyxraft")

@@ -52,6 +52,10 @@ __all__ = [
     "build_xraft_spec",
     "build_raftkv_spec",
     "last_term",
+    "rv_request",
+    "rv_response",
+    "ae_request",
+    "ae_response",
 ]
 
 FOLLOWER = "Follower"
@@ -68,6 +72,30 @@ AE_RESPONSE = "AppendEntriesResponse"
 def last_term(log: Sequence) -> int:
     """The term of the last log entry (0 for an empty log)."""
     return log[-1][0] if log else 0
+
+
+def rv_request(src, dst, term, llt=0, lli=0):
+    """A message as a plain record (likewise the three below) — what a
+    scenario schedule names in ``label(..., m=...)``."""
+    return {"mtype": RV_REQUEST, "mterm": term, "mlastLogTerm": llt,
+            "mlastLogIndex": lli, "msource": src, "mdest": dst}
+
+
+def rv_response(src, dst, term, granted):
+    return {"mtype": RV_RESPONSE, "mterm": term,
+            "mvoteGranted": granted, "msource": src, "mdest": dst}
+
+
+def ae_request(src, dst, term, prev_index, prev_term, entries, commit):
+    return {"mtype": AE_REQUEST, "mterm": term,
+            "mprevLogIndex": prev_index, "mprevLogTerm": prev_term,
+            "mentries": tuple(entries), "mcommitIndex": commit,
+            "msource": src, "mdest": dst}
+
+
+def ae_response(src, dst, term, success, match):
+    return {"mtype": AE_RESPONSE, "mterm": term, "msuccess": success,
+            "mmatchIndex": match, "msource": src, "mdest": dst}
 
 
 class RaftSpecOptions:

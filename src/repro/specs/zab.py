@@ -502,7 +502,14 @@ def build_zab_spec(options: Optional[ZabSpecOptions] = None) -> Specification:
         }
 
     # -- external faults ----------------------------------------------------------
-    @spec.action(params={"i": from_constant("Server")}, kind=ActionKind.FAULT)
+    # MCK106 (dormant fault action) is silenced on both: the model the
+    # CLI tests minizk against sets MaxCrashes = MaxRestarts = 0 on
+    # purpose (all-servers x crashes explodes past 10^5 states).  Not
+    # declaring the actions at budget 0 would leave crashCtr, restartCtr
+    # and online as dead state variables (MCK001/MCK302), and dropping
+    # those changes the state vector, hence every pinned zab DOT dump.
+    @spec.action(  # mocket: ignore[MCK106]
+        params={"i": from_constant("Server")}, kind=ActionKind.FAULT)
     def Crash(state, const, i):
         """The process dies; its durable state is untouched."""
         if i not in opts.crashers:
@@ -514,7 +521,8 @@ def build_zab_spec(options: Optional[ZabSpecOptions] = None) -> Specification:
             "crashCtr": state.crashCtr + 1,
         }
 
-    @spec.action(params={"i": from_constant("Server")}, kind=ActionKind.FAULT)
+    @spec.action(  # mocket: ignore[MCK106]
+        params={"i": from_constant("Server")}, kind=ActionKind.FAULT)
     def Restart(state, const, i):
         """The process relaunches: volatile election state resets, the
         persistent epochs and zxid survive."""

@@ -9,6 +9,10 @@
 * :mod:`repro.systems.minizk` — coordination service speaking ZAB (the
   paper's ZooKeeper target) with ZOOKEEPER-1419/1653 behind flags.
 
+:mod:`repro.systems.catalog` is the one table that says what each of
+these names means to the command line: its model, mapping, cluster
+factory, ``--bug`` flags and Table 2 scenarios.
+
 Every system is a normal distributed system first: it runs standalone
 (no Mocket) and is instrumented with the annotations of
 :mod:`repro.core.mapping` exactly as the paper instruments its Java

@@ -8,7 +8,7 @@ new epoch.  The two ZooKeeper bugs from Table 2 are seeded behind
 """
 
 from .config import MiniZkConfig
-from .mapping import build_minizk_mapping, default_zab_spec
+from .mapping import build_minizk_mapping
 from .node import MiniZkNode, ZkState, make_minizk_cluster
 
 __all__ = [
@@ -16,6 +16,5 @@ __all__ = [
     "MiniZkNode",
     "ZkState",
     "build_minizk_mapping",
-    "default_zab_spec",
     "make_minizk_cluster",
 ]

@@ -13,19 +13,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ...core.mapping import MessageCheckMode, SpecMapping
-from ...specs.zab import FOLLOWING, LEADING, LOOKING, NIL, build_zab_spec
+from ...specs.zab import FOLLOWING, LEADING, LOOKING, NIL
 from ...tlaplus import Specification
 from .config import MiniZkConfig
 from .node import ZkState
 
-__all__ = ["default_zab_spec", "build_minizk_mapping"]
-
-
-def default_zab_spec(**kwargs) -> Specification:
-    """The ZAB model with the defaults used by tests and benches."""
-    from ...specs.zab import ZabSpecOptions
-
-    return build_zab_spec(ZabSpecOptions(**kwargs))
+__all__ = ["build_minizk_mapping"]
 
 
 def build_minizk_mapping(spec: Specification,

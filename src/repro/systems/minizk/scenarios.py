@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List
-
-from ...core.testgen import label, scenario_case
+from ...core.testgen import Scenario, label, scenario_case
 from ...specs.zab import ZabSpecOptions, build_zab_spec
 from .config import MiniZkConfig
 
-__all__ = ["MiniZkScenario", "zk_bug_1419", "zk_bug_1653", "all_scenarios"]
+__all__ = ["zk_bug_1419", "zk_bug_1653"]
 
 
 def _vote(src, dst, rnd, vote):
@@ -20,22 +18,7 @@ def _leader_info(src, dst, epoch):
     return {"mtype": "LeaderInfo", "mepoch": epoch, "msource": src, "mdest": dst}
 
 
-class MiniZkScenario:
-    """A named bug-revealing scenario for minizk."""
-
-    def __init__(self, name, spec, graph, case, buggy_config,
-                 expected_kind, expected_subject, servers):
-        self.name = name
-        self.spec = spec
-        self.graph = graph
-        self.case = case
-        self.buggy_config = buggy_config
-        self.expected_kind = expected_kind
-        self.expected_subject = expected_subject
-        self.servers = servers
-
-
-def zk_bug_1419() -> MiniZkScenario:
+def zk_bug_1419() -> Scenario:
     """ZOOKEEPER-1419 [6]: leader election never settles (5 nodes).
 
     Two candidates start the same round; when n5 receives n4's *worse*
@@ -63,7 +46,7 @@ def zk_bug_1419() -> MiniZkScenario:
         label("HandleVote", m=_vote("n5", "n3", 1, v5)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return MiniZkScenario(
+    return Scenario(
         "zk-1419", spec, graph, case,
         MiniZkConfig(bug_rebroadcast_on_worse_vote=True),
         expected_kind="unexpected_action", expected_subject="HandleVote",
@@ -71,7 +54,7 @@ def zk_bug_1419() -> MiniZkScenario:
     )
 
 
-def zk_bug_1653() -> MiniZkScenario:
+def zk_bug_1653() -> Scenario:
     """ZOOKEEPER-1653 [7]: inconsistent epoch prevents startup.
 
     n3 is elected and proposes epoch 1; follower n2 persists
@@ -99,13 +82,9 @@ def zk_bug_1653() -> MiniZkScenario:
         label("StartElection", i="n2"),
     ]
     graph, case = scenario_case(spec, schedule)
-    return MiniZkScenario(
+    return Scenario(
         "zk-1653", spec, graph, case,
         MiniZkConfig(bug_epoch_mismatch_abort=True),
         expected_kind="missing_action", expected_subject="StartElection",
         servers=servers,
     )
-
-
-def all_scenarios() -> List:
-    return [zk_bug_1419, zk_bug_1653]

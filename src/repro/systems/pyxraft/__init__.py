@@ -8,7 +8,7 @@ seeded behind :class:`XraftConfig` flags.
 """
 
 from .config import XraftConfig
-from .mapping import build_xraft_mapping, default_xraft_spec
+from .mapping import build_xraft_mapping
 from .messages import payload_from_spec_msg, spec_msg_from_payload
 from .node import Role, XraftNode, make_xraft_cluster
 
@@ -17,7 +17,6 @@ __all__ = [
     "XraftConfig",
     "XraftNode",
     "build_xraft_mapping",
-    "default_xraft_spec",
     "make_xraft_cluster",
     "payload_from_spec_msg",
     "spec_msg_from_payload",

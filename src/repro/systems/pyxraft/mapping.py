@@ -19,21 +19,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ...core.mapping import MessageCheckMode, SpecMapping
-from ...specs.raft import CANDIDATE, FOLLOWER, LEADER, NIL, build_xraft_spec
+from ...specs.raft import CANDIDATE, FOLLOWER, LEADER, NIL
 from ...tlaplus import Specification, thaw
 from .config import XraftConfig
 from .messages import payload_from_spec_msg
 from .node import Role
 
-__all__ = ["default_xraft_spec", "build_xraft_mapping"]
-
-
-def default_xraft_spec(**kwargs) -> Specification:
-    """The xraft model with the defaults used by tests and benches."""
-    kwargs.setdefault("servers", ("n1", "n2", "n3"))
-    kwargs.setdefault("max_term", 1)
-    kwargs.setdefault("max_client_requests", 0)
-    return build_xraft_spec(**kwargs)
+__all__ = ["build_xraft_mapping"]
 
 
 def _reinject_duplicate(cluster, msg) -> None:

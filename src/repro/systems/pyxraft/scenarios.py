@@ -10,54 +10,17 @@ implementation passes.
 
 from __future__ import annotations
 
-from typing import Callable, List
-
-from ...core.testgen import label, scenario_case
-from ...specs.raft import RaftSpecOptions, build_raft_spec
+from ...core.testgen import Scenario, label, scenario_case
+from ...specs.raft import (
+    RaftSpecOptions, ae_request, ae_response, build_raft_spec, rv_request,
+    rv_response,
+)
 from .config import XraftConfig
 
-__all__ = ["XraftScenario", "xraft_bug1", "xraft_bug2", "xraft_bug3", "all_scenarios"]
+__all__ = ["xraft_bug1", "xraft_bug2", "xraft_bug3"]
 
 
-def _rv_request(src, dst, term, llt=0, lli=0):
-    return {"mtype": "RequestVoteRequest", "mterm": term, "mlastLogTerm": llt,
-            "mlastLogIndex": lli, "msource": src, "mdest": dst}
-
-
-def _rv_response(src, dst, term, granted):
-    return {"mtype": "RequestVoteResponse", "mterm": term,
-            "mvoteGranted": granted, "msource": src, "mdest": dst}
-
-
-def _ae_request(src, dst, term, prev_index, prev_term, entries, commit):
-    return {"mtype": "AppendEntriesRequest", "mterm": term,
-            "mprevLogIndex": prev_index, "mprevLogTerm": prev_term,
-            "mentries": tuple(entries), "mcommitIndex": commit,
-            "msource": src, "mdest": dst}
-
-
-def _ae_response(src, dst, term, success, match):
-    return {"mtype": "AppendEntriesResponse", "mterm": term, "msuccess": success,
-            "mmatchIndex": match, "msource": src, "mdest": dst}
-
-
-class XraftScenario:
-    """A named bug-revealing scenario."""
-
-    def __init__(self, name: str, spec, graph, case,
-                 buggy_config: XraftConfig, expected_kind: str,
-                 expected_subject: str, servers):
-        self.name = name
-        self.spec = spec
-        self.graph = graph
-        self.case = case
-        self.buggy_config = buggy_config
-        self.expected_kind = expected_kind        # DivergenceKind value
-        self.expected_subject = expected_subject  # variable or action name
-        self.servers = servers
-
-
-def xraft_bug1() -> XraftScenario:
+def xraft_bug1() -> Scenario:
     """Xraft bug #1 [23]: duplicated vote response makes an illegal leader.
 
     The schedule follows the paper's description: candidate n1 collects
@@ -72,17 +35,17 @@ def xraft_bug1() -> XraftScenario:
         enable_restart=False, enable_drop=False, enable_duplicate=True,
         max_duplicates=1, candidates=("n1",), name="xraft-bug1",
     ))
-    grant = _rv_response("n2", "n1", 1, True)
+    grant = rv_response("n2", "n1", 1, True)
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
         label("DuplicateMessage", m=grant),
         label("HandleRequestVoteResponse", m=grant),
         label("HandleRequestVoteResponse", m=grant),
     ]
     graph, case = scenario_case(spec, schedule)
-    return XraftScenario(
+    return Scenario(
         "xraft-bug1", spec, graph, case,
         XraftConfig(bug_duplicate_vote_count=True),
         expected_kind="inconsistent_state", expected_subject="votesGranted",
@@ -90,7 +53,7 @@ def xraft_bug1() -> XraftScenario:
     )
 
 
-def xraft_bug2() -> XraftScenario:
+def xraft_bug2() -> Scenario:
     """Xraft bug #2 [22] (Figure 8): a restart forgets the granted vote.
 
     Four nodes as in Figure 8: n2 grants its vote to candidate n1, then
@@ -108,21 +71,21 @@ def xraft_bug2() -> XraftScenario:
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
         label("Restart", i="n2"),
         # Figure 8's continuation: the second candidate solicits the same
         # voter.  Detection happens at the Restart step already, but the
         # full shape is kept so the verified schedule mirrors the figure.
         label("Timeout", i="n4"),
         label("RequestVote", i="n4", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n4", "n2", 1)),
+        label("HandleRequestVoteRequest", m=rv_request("n4", "n2", 1)),
         label("HandleRequestVoteResponse",
-              m=_rv_response("n2", "n4", 1, False)),
+              m=rv_response("n2", "n4", 1, False)),
         label("HandleRequestVoteResponse",
-              m=_rv_response("n2", "n1", 1, True)),
+              m=rv_response("n2", "n1", 1, True)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return XraftScenario(
+    return Scenario(
         "xraft-bug2", spec, graph, case,
         XraftConfig(bug_votedfor_not_persisted=True),
         expected_kind="inconsistent_state", expected_subject="votedFor",
@@ -130,7 +93,7 @@ def xraft_bug2() -> XraftScenario:
     )
 
 
-def xraft_bug3() -> XraftScenario:
+def xraft_bug3() -> Scenario:
     """Xraft bug #3 [24] (Figure 9): a stale candidate collects forbidden
     votes and a second leader becomes possible.
 
@@ -151,32 +114,28 @@ def xraft_bug3() -> XraftScenario:
     schedule = [
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 1, True)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 1, True)),
         label("BecomeLeader", i="n1"),
         label("ClientRequest", i="n1"),
         label("AppendEntries", i="n1", j="n2"),
         label("HandleAppendEntriesRequest",
-              m=_ae_request("n1", "n2", 1, 0, 0, [(1, 1)], 0)),
+              m=ae_request("n1", "n2", 1, 0, 0, [(1, 1)], 0)),
         label("HandleAppendEntriesResponse",
-              m=_ae_response("n2", "n1", 1, True, 1)),
+              m=ae_response("n2", "n1", 1, True, 1)),
         label("Restart", i="n3"),
         label("Timeout", i="n3"),   # term 1 (competing with the leader)
         label("Timeout", i="n3"),   # term 2
         label("RequestVote", i="n3", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n3", "n2", 2)),
+        label("HandleRequestVoteRequest", m=rv_request("n3", "n2", 2)),
         label("HandleRequestVoteResponse",
-              m=_rv_response("n2", "n3", 2, False)),
+              m=rv_response("n2", "n3", 2, False)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return XraftScenario(
+    return Scenario(
         "xraft-bug3", spec, graph, case,
         XraftConfig(bug_stale_vote_grant=True),
         expected_kind="unexpected_action",
         expected_subject="HandleRequestVoteResponse",
         servers=servers,
     )
-
-
-def all_scenarios() -> List[Callable[[], XraftScenario]]:
-    return [xraft_bug1, xraft_bug2, xraft_bug3]

@@ -10,13 +10,12 @@ bugs (Figures 10 and 11).
 """
 
 from .config import RaftKvConfig
-from .mapping import build_raftkv_mapping, default_raftkv_spec
+from .mapping import build_raftkv_mapping
 from .node import RaftKvNode, make_raftkv_cluster
 
 __all__ = [
     "RaftKvConfig",
     "RaftKvNode",
     "build_raftkv_mapping",
-    "default_raftkv_spec",
     "make_raftkv_cluster",
 ]

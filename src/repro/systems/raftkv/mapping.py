@@ -13,20 +13,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ...core.mapping import MessageCheckMode, SpecMapping
-from ...specs.raft import CANDIDATE, FOLLOWER, LEADER, NIL, build_raftkv_spec
+from ...specs.raft import CANDIDATE, FOLLOWER, LEADER, NIL
 from ...tlaplus import Specification
 from .config import RaftKvConfig
 from .node import KvRole
 
-__all__ = ["default_raftkv_spec", "build_raftkv_mapping"]
-
-
-def default_raftkv_spec(**kwargs) -> Specification:
-    """The raftkv model with the defaults used by tests and benches."""
-    kwargs.setdefault("servers", ("n1", "n2", "n3"))
-    kwargs.setdefault("max_term", 1)
-    kwargs.setdefault("max_client_requests", 0)
-    return build_raftkv_spec(**kwargs)
+__all__ = ["build_raftkv_mapping"]
 
 
 def build_raftkv_mapping(spec: Specification,

@@ -10,14 +10,13 @@ fails.
 
 from __future__ import annotations
 
-from typing import List
-
-from ...core.testgen import label, scenario_case
-from ...specs.raft import RaftSpecOptions, build_raft_spec
+from ...core.testgen import Scenario, label, scenario_case
+from ...specs.raft import (
+    RaftSpecOptions, ae_request, build_raft_spec, rv_request, rv_response,
+)
 from .config import RaftKvConfig
 
 __all__ = [
-    "RaftKvScenario",
     "raftkv_bug1",
     "raftkv_bug2",
     "raft_spec_bug_update_term",
@@ -25,41 +24,7 @@ __all__ = [
 ]
 
 
-def _rv_request(src, dst, term, llt=0, lli=0):
-    return {"mtype": "RequestVoteRequest", "mterm": term, "mlastLogTerm": llt,
-            "mlastLogIndex": lli, "msource": src, "mdest": dst}
-
-
-def _rv_response(src, dst, term, granted):
-    return {"mtype": "RequestVoteResponse", "mterm": term,
-            "mvoteGranted": granted, "msource": src, "mdest": dst}
-
-
-def _ae_request(src, dst, term, prev_index, prev_term, entries, commit):
-    return {"mtype": "AppendEntriesRequest", "mterm": term,
-            "mprevLogIndex": prev_index, "mprevLogTerm": prev_term,
-            "mentries": tuple(entries), "mcommitIndex": commit,
-            "msource": src, "mdest": dst}
-
-
-class RaftKvScenario:
-    """A named bug-revealing scenario for raftkv."""
-
-    def __init__(self, name, spec, graph, case, buggy_config, correct_config,
-                 expected_kind, expected_subject, servers, is_spec_bug=False):
-        self.name = name
-        self.spec = spec
-        self.graph = graph
-        self.case = case
-        self.buggy_config = buggy_config      # config expected to diverge
-        self.correct_config = correct_config  # config expected to pass (None for spec bugs)
-        self.expected_kind = expected_kind
-        self.expected_subject = expected_subject
-        self.servers = servers
-        self.is_spec_bug = is_spec_bug
-
-
-def raftkv_bug1() -> RaftKvScenario:
+def raftkv_bug1() -> Scenario:
     """Raft-java issue #3 [14]: a higher-term vote response is dropped.
 
     Candidate n2 reaches term 2 before n1's term-1 vote request arrives;
@@ -78,19 +43,20 @@ def raftkv_bug1() -> RaftKvScenario:
         label("Timeout", i="n2"),  # term 2
         label("Timeout", i="n1"),  # term 1
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 2, False)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 2, False)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return RaftKvScenario(
+    return Scenario(
         "raftkv-bug1", spec, graph, case,
-        RaftKvConfig(bug_drop_higher_term_response=True), RaftKvConfig(),
+        RaftKvConfig(bug_drop_higher_term_response=True),
         expected_kind="missing_action",
         expected_subject="HandleRequestVoteResponse", servers=servers,
+        correct_config=RaftKvConfig(),
     )
 
 
-def raftkv_bug2() -> RaftKvScenario:
+def raftkv_bug2() -> Scenario:
     """Raft-java issue #19 [19]: conflicting log suffixes are not truncated.
 
     n3 leads term 1 and appends an entry that is never replicated; n1
@@ -108,31 +74,31 @@ def raftkv_bug2() -> RaftKvScenario:
     schedule = [
         label("Timeout", i="n3"),  # term 1
         label("RequestVote", i="n3", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n3", "n2", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n3", 1, True)),
+        label("HandleRequestVoteRequest", m=rv_request("n3", "n2", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n3", 1, True)),
         label("BecomeLeader", i="n3"),
         label("ClientRequest", i="n3"),           # n3 log: ((1, 1),) — never replicated
         label("Timeout", i="n1"),  # term 1
         label("Timeout", i="n1"),  # term 2
         label("RequestVote", i="n1", j="n2"),
-        label("HandleRequestVoteRequest", m=_rv_request("n1", "n2", 2)),
-        label("HandleRequestVoteResponse", m=_rv_response("n2", "n1", 2, True)),
+        label("HandleRequestVoteRequest", m=rv_request("n1", "n2", 2)),
+        label("HandleRequestVoteResponse", m=rv_response("n2", "n1", 2, True)),
         label("BecomeLeader", i="n1"),
         label("ClientRequest", i="n1"),           # n1 log: ((2, 2),)
         label("AppendEntries", i="n1", j="n3"),
         label("HandleAppendEntriesRequest",
-              m=_ae_request("n1", "n3", 2, 0, 0, [(2, 2)], 0)),
+              m=ae_request("n1", "n3", 2, 0, 0, [(2, 2)], 0)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return RaftKvScenario(
+    return Scenario(
         "raftkv-bug2", spec, graph, case,
-        RaftKvConfig(bug_append_no_truncate=True), RaftKvConfig(),
+        RaftKvConfig(bug_append_no_truncate=True),
         expected_kind="inconsistent_state", expected_subject="log",
-        servers=servers,
+        servers=servers, correct_config=RaftKvConfig(),
     )
 
 
-def raft_spec_bug_update_term() -> RaftKvScenario:
+def raft_spec_bug_update_term() -> Scenario:
     """Official Raft spec bug (Figure 10): standalone ``UpdateTerm``.
 
     The official specification lets ``UpdateTerm`` fire as an
@@ -150,19 +116,19 @@ def raft_spec_bug_update_term() -> RaftKvScenario:
         label("Timeout", i="n1"),
         label("RequestVote", i="n1", j="n2"),
         label("RequestVote", i="n1", j="n3"),
-        label("UpdateTerm", m=_rv_request("n1", "n2", 1)),
-        label("UpdateTerm", m=_rv_request("n1", "n3", 1)),
+        label("UpdateTerm", m=rv_request("n1", "n2", 1)),
+        label("UpdateTerm", m=rv_request("n1", "n3", 1)),
     ]
     graph, case = scenario_case(spec, schedule)
-    return RaftKvScenario(
+    return Scenario(
         "raft-spec-bug-update-term", spec, graph, case,
-        RaftKvConfig(), None,
+        RaftKvConfig(),
         expected_kind="missing_action", expected_subject="UpdateTerm",
         servers=servers, is_spec_bug=True,
     )
 
 
-def raft_spec_bug_missing_reply() -> RaftKvScenario:
+def raft_spec_bug_missing_reply() -> Scenario:
     """Official Raft spec bug (Figure 11): the return-to-follower branch
     of ``HandleAppendEntriesRequest`` neither replies nor consumes.
 
@@ -177,27 +143,22 @@ def raft_spec_bug_missing_reply() -> RaftKvScenario:
         enable_restart=False, enable_drop=False, enable_duplicate=False,
         candidates=("n1", "n2"), spec_bugs=True, name="raft-spec-bugs-reply",
     ))
-    heartbeat = _ae_request("n2", "n1", 1, 0, 0, [], 0)
+    heartbeat = ae_request("n2", "n1", 1, 0, 0, [], 0)
     schedule = [
         label("Timeout", i="n1"),  # n1 candidate, term 1
         label("Timeout", i="n2"),  # n2 candidate, term 1
         label("RequestVote", i="n2", j="n3"),
-        label("UpdateTerm", m=_rv_request("n2", "n3", 1)),
-        label("HandleRequestVoteRequest", m=_rv_request("n2", "n3", 1)),
-        label("HandleRequestVoteResponse", m=_rv_response("n3", "n2", 1, True)),
+        label("UpdateTerm", m=rv_request("n2", "n3", 1)),
+        label("HandleRequestVoteRequest", m=rv_request("n2", "n3", 1)),
+        label("HandleRequestVoteResponse", m=rv_response("n3", "n2", 1, True)),
         label("BecomeLeader", i="n2"),
         label("AppendEntries", i="n2", j="n1"),
         label("HandleAppendEntriesRequest", m=heartbeat),  # Figure 11 branch 2
     ]
     graph, case = scenario_case(spec, schedule)
-    return RaftKvScenario(
+    return Scenario(
         "raft-spec-bug-missing-reply", spec, graph, case,
-        RaftKvConfig(instrument_update_term=True), None,
+        RaftKvConfig(instrument_update_term=True),
         expected_kind="inconsistent_state", expected_subject="messages",
         servers=servers, is_spec_bug=True,
     )
-
-
-def all_scenarios() -> List:
-    return [raftkv_bug1, raftkv_bug2,
-            raft_spec_bug_update_term, raft_spec_bug_missing_reply]

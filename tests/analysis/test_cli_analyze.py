@@ -5,17 +5,15 @@ import json
 
 import pytest
 
+from repro.analysis.targets import all_targets
 from repro.cli import main
-
-ALL_TARGETS = ("toycache", "pyxraft", "raftkv", "minizk",
-               "example", "xraft", "zab")
 
 
 class TestTextReport:
     def test_spec_target_effect_table(self, capsys):
         assert main(["analyze", "xraft"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("raft-xraft:")
+        assert out.startswith("xraft-model:")
         # every action row carries the full footprint triple and a flag
         assert "reads={" in out and "writes={" in out and "consts={" in out
         assert "[ok]" in out
@@ -28,7 +26,7 @@ class TestTextReport:
         assert main(["analyze", "toycache"]) == 0
         assert "action(s)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("target", ALL_TARGETS)
+    @pytest.mark.parametrize("target", all_targets())
     def test_bundled_targets_are_fully_certified(self, target, capsys):
         # the POR fast path leans on this: no unknown footprints and no
         # purity violations anywhere in the bundled specs
@@ -47,7 +45,7 @@ class TestJsonReport:
         assert main(["analyze", "zab", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == 1
-        assert document["spec"] == "zab"
+        assert document["spec"] == "zab-model"
         assert set(document) == {"version", "spec", "actions",
                                  "independent_pairs", "dependencies",
                                  "invariant_reads"}
@@ -80,7 +78,7 @@ class TestDotOutput:
         assert main(["analyze", "zab", "--dot", str(dot)]) == 0
         assert f"written to {dot}" in capsys.readouterr().out
         text = dot.read_text()
-        assert text.startswith('graph "zab-dependencies" {')
+        assert text.startswith('graph "zab-model-dependencies" {')
         assert text.rstrip().endswith("}")
         # fully certified spec: no dashed (uncertifiable) nodes
         assert "style=dashed" not in text

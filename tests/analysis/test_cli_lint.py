@@ -7,22 +7,22 @@ import pytest
 
 from repro.analysis import LintContext
 from repro.analysis import targets as targets_mod
+from repro.analysis.targets import all_targets
 from repro.cli import main
 from repro.core.mapping import SpecMapping
+from repro.systems.catalog import TARGETS
 from .test_conformance_rules import make_spec
-
-SYSTEMS = ("toycache", "pyxraft", "raftkv", "minizk")
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("system", TARGETS)
     def test_bundled_systems_pass_fail_on_error(self, system, capsys):
         assert main(["lint", system, "--fail-on", "error"]) == 0
 
     def test_all_passes_fail_on_warning(self, capsys):
         assert main(["lint", "all", "--fail-on", "warning"]) == 0
         out = capsys.readouterr().out
-        for name in SYSTEMS + ("example", "xraft", "zab"):
+        for name in all_targets():
             assert f"{name}:" in out
 
     def test_unknown_target_exits_with_message(self, capsys):

@@ -220,7 +220,7 @@ def test_mck007_message_var_of_wrong_kind():
 
 
 def test_bundled_specs_are_clean():
-    from repro.analysis.targets import SPEC_TARGETS, resolve
+    from repro.analysis.targets import all_targets, resolve
 
-    for name in SPEC_TARGETS:
+    for name in all_targets():
         assert lint_codes(resolve(name).spec) == [], name

@@ -11,11 +11,11 @@ from .conftest import write_walk_log
 
 @pytest.fixture()
 def toycache_log(tmp_path):
-    from repro.cli import _target_kit
+    from repro.systems.catalog import kit
 
     from .conftest import canonical_graph
 
-    spec, _mapping, _factory = _target_kit("toycache", None)
+    spec, _mapping, _factory = kit("toycache")
     graph = canonical_graph(spec)
     path = tmp_path / "walk.jsonl"
     records = write_walk_log(path, graph, sessions=2, steps=6)
@@ -51,9 +51,9 @@ class TestConformCommand:
 
     def test_bare_model_target(self, tmp_path, capsys):
         from .conftest import canonical_graph
-        from repro.cli import _build_model
+        from repro.systems.catalog import get_model
 
-        graph = canonical_graph(_build_model("example"))
+        graph = canonical_graph(get_model("example")())
         path = tmp_path / "walk.jsonl"
         write_walk_log(path, graph, sessions=1, steps=4)
         assert main(["conform", str(path), "--spec", "example"]) == 0

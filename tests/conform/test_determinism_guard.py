@@ -33,11 +33,11 @@ def run_conform(log, hashseed, fmt="json"):
 @pytest.fixture(scope="module")
 def raftkv_logs(tmp_path_factory):
     """One conforming and one seeded-divergent raftkv log."""
-    from repro.cli import _target_kit
+    from repro.systems.catalog import kit
 
     from .conftest import canonical_graph, write_walk_log
 
-    spec, _mapping, _factory = _target_kit("raftkv", None)
+    spec, _mapping, _factory = kit("raftkv")
     graph = canonical_graph(spec)
     base = tmp_path_factory.mktemp("conform-determinism")
     good = base / "good.jsonl"

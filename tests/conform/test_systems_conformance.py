@@ -13,8 +13,8 @@ import json
 
 import pytest
 
-from repro.cli import _build_model, _target_kit
 from repro.conform import ConformanceMonitor, conform_log
+from repro.systems.catalog import get_model, kit
 
 from .conftest import canonical_graph, write_walk_log
 
@@ -30,8 +30,8 @@ def target_kit(name):
     truncated graph, so every walk stays a valid behaviour of it).
     """
     if name == "example":
-        return canonical_graph(_build_model("example")), None
-    spec, mapping, _factory = _target_kit(name, None)
+        return canonical_graph(get_model("example")()), None
+    spec, mapping, _factory = kit(name)
     return canonical_graph(spec, max_states=1200), mapping
 
 
@@ -108,6 +108,6 @@ class TestEventBindings:
     @pytest.mark.parametrize("name", ("toycache", "pyxraft", "raftkv",
                                       "minizk"))
     def test_bundled_mappings_bind_every_action(self, name):
-        _spec, mapping, _factory = _target_kit(name, None)
+        _spec, mapping, _factory = kit(name)
         assert mapping.events, f"{name} mapping has no event bindings"
         assert mapping.bound_actions() == set(mapping.spec.actions)

@@ -135,18 +135,51 @@ class TestTraceSummarize:
         out = capsys.readouterr().out
         assert "case #0:" in out and "case #1:" not in out
 
-    def test_summarize_missing_file_raises(self):
-        with pytest.raises(FileNotFoundError):
-            main(["trace", "summarize", "/nonexistent/trace.jsonl"])
+
+class TestArtifactsFailClosed:
+    """A missing or malformed artifact file ends the verb with exit
+    code 2 and one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("make_argv", [
+        pytest.param(lambda tmp: ["soak", "raftkv", "--schedule", _file(
+            tmp, {"format": "mocket-soak-schedule/1", "seed": "1"})],
+            id="soak-schedule-without-events"),
+        pytest.param(lambda tmp: ["faults", "replay", "toycache",
+                                  "--plan", str(tmp / "nope.json")],
+                     id="replay-plan-missing"),
+        pytest.param(lambda tmp: ["faults", "shrink", "toycache", "--plan",
+                                  _file(tmp, {"format": "nope/1"})],
+                     id="shrink-plan-wrong-format"),
+        pytest.param(lambda tmp: ["test", "toycache",
+                                  "--suite", str(tmp / "nope.json")],
+                     id="test-suite-missing"),
+        pytest.param(lambda tmp: ["trace", "summarize",
+                                  str(tmp / "nope.jsonl")],
+                     id="trace-missing"),
+    ])
+    def test_exits_two_with_one_line(self, make_argv, tmp_path, capsys):
+        argv = make_argv(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mocket {argv[0]}: cannot read ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+
+def _file(directory, document) -> str:
+    path = directory / "artifact.json"
+    path.write_text(json.dumps(document))
+    return str(path)
 
 
 class TestBugsCommand:
     def test_replays_all_nine(self, capsys):
         assert main(["bugs"]) == 0
         out = capsys.readouterr().out
-        for marker in ("xraft-bug1", "xraft-bug2", "xraft-bug3",
-                       "raftkv-bug1", "raftkv-bug2", "zk-1419", "zk-1653",
-                       "raft-spec-bug-missing-reply",
-                       "raft-spec-bug-update-term"):
-            assert marker in out
+        # exactly the nine Table 2 rows, in Table 2 order: implementation
+        # bugs system by system, then the official-spec bugs
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "xraft-bug1", "xraft-bug2", "xraft-bug3",
+            "raftkv-bug1", "raftkv-bug2", "zk-1419", "zk-1653",
+            "raft-spec-bug-missing-reply", "raft-spec-bug-update-term"]
         assert "NOT DETECTED" not in out

@@ -5,17 +5,17 @@ import json
 
 import pytest
 
-from repro.cli import _RUNNER, _target_kit
 from repro.core import ControlledTester, generate_test_cases
+from repro.systems.catalog import RUNNER, kit
 from repro.tlaplus import check
 
 
 @pytest.fixture(scope="module")
 def buggy_outcome():
-    spec, mapping, cluster_factory = _target_kit("toycache", ["bug_wrong_max"])
+    spec, mapping, cluster_factory = kit("toycache", ["bug_wrong_max"])
     graph = check(spec, max_states=100_000, truncate=True).graph
     suite = generate_test_cases(graph, por=True, seed=0)
-    tester = ControlledTester(mapping, graph, cluster_factory, _RUNNER)
+    tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
     return tester.run_suite(suite, stop_on_divergence=True)
 
 
@@ -52,10 +52,10 @@ class TestSuiteBugReport:
         json.dumps(buggy_outcome.bug_report())
 
     def test_passing_suite_reports_empty_failures(self):
-        spec, mapping, cluster_factory = _target_kit("toycache", [])
+        spec, mapping, cluster_factory = kit("toycache")
         graph = check(spec, max_states=100_000, truncate=True).graph
         suite = generate_test_cases(graph, por=True, seed=0)
-        tester = ControlledTester(mapping, graph, cluster_factory, _RUNNER)
+        tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
         outcome = tester.run_suite(suite, max_cases=1)
         report = outcome.bug_report()
         assert report["divergent"] == 0 and report["failures"] == []

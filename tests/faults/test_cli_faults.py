@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, all_chaos_scenarios
 
 
 class TestFaultsPlan:
@@ -54,11 +54,12 @@ class TestFaultsRunAndReplay:
                      str(out)]) == 0
         assert "0 unattributed" in capsys.readouterr().out
 
-    def test_replay_rejects_a_foreign_plan(self, tmp_path):
+    def test_replay_rejects_a_foreign_plan(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps({"format": "nope"}))
-        with pytest.raises(ValueError, match="not a mocket fault plan"):
-            main(["faults", "replay", "toycache", "--plan", str(bogus)])
+        assert main(["faults", "replay", "toycache",
+                     "--plan", str(bogus)]) == 2
+        assert "not a mocket fault plan" in capsys.readouterr().err
 
 
 class TestTestFaultFlags:
@@ -172,8 +173,12 @@ class TestScenariosVerb:
         assert payload["version"] == 1
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] == len(payload["scenarios"])
-        names = {row["name"] for row in payload["scenarios"]}
-        assert "minizk-crash-restart" in names
+        # exactly the bundled scenarios, in order, each as it expects
+        bundled = [build() for build in all_chaos_scenarios()]
+        assert [(row["name"], row["target"], row["outcome"])
+                for row in payload["scenarios"]] == [
+            (s.name, s.target, s.expected_kind) for s in bundled]
+        assert len(bundled) == 5
         for row in payload["scenarios"]:
             assert set(row) == {"name", "target", "expected", "outcome",
                                 "ok", "detail"}

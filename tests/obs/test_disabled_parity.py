@@ -2,7 +2,7 @@
 behave byte-identically to the seed: same checker counts, same suite
 outcomes, and zero records emitted."""
 
-from repro.cli import _RUNNER, _target_kit
+from repro.systems.catalog import RUNNER, kit
 from repro.core import ControlledTester, generate_test_cases
 from repro.obs import METRICS, TRACER
 from repro.specs import build_example_spec
@@ -40,10 +40,10 @@ class TestCheckerParity:
 class TestSuiteParity:
     def test_toycache_suite_outcomes_unchanged(self):
         assert not TRACER.enabled
-        spec, mapping, cluster_factory = _target_kit("toycache", [])
+        spec, mapping, cluster_factory = kit("toycache")
         graph = check(spec, max_states=100_000, truncate=True).graph
         suite = generate_test_cases(graph, por=True, seed=0)
-        tester = ControlledTester(mapping, graph, cluster_factory, _RUNNER)
+        tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
         outcome = tester.run_suite(suite)
         # the seed's toycache result: 4 cases, all passing
         assert len(outcome.results) == 4

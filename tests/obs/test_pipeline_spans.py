@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.core import ControlledTester, DivergenceKind, RunnerConfig
+from repro.core import ControlledTester, DivergenceKind
 from repro.core.testgen import generate_test_cases
 from repro.obs import METRICS, TRACER, TraceReader
 from repro.specs import build_example_spec
+from repro.systems.catalog import RUNNER, kit
 from repro.systems.raftkv import build_raftkv_mapping, make_raftkv_cluster
 from repro.systems.raftkv.scenarios import raftkv_bug1
 from repro.tlaplus import check
-
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 class TestCheckerSpans:
@@ -57,7 +56,7 @@ class TestDivergentRaftkvCase:
             scenario.graph,
             lambda: make_raftkv_cluster(scenario.servers,
                                         scenario.buggy_config),
-            _RUNNER,
+            RUNNER,
         )
         TRACER.reset()
         METRICS.reset()
@@ -121,15 +120,13 @@ class TestFaultSpans:
     def test_restart_fault_emits_injection_event(self):
         # the default raftkv model's verified space includes Restart
         # actions; run a case containing one and expect fault.injected
-        from repro.cli import _target_kit
-
-        spec, mapping, cluster_factory = _target_kit("raftkv", [])
+        spec, mapping, cluster_factory = kit("raftkv")
         graph = check(spec, max_states=100_000, truncate=True).graph
         suite = generate_test_cases(graph, por=True, seed=0)
         with_fault = [case for case in suite
                       if any(s.label.name == "Restart" for s in case.steps)]
         assert with_fault, "the raftkv model should generate Restart cases"
-        tester = ControlledTester(mapping, graph, cluster_factory, _RUNNER)
+        tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
         TRACER.configure(enabled=True)
         result = tester.run_case(with_fault[0])
         assert result.passed, result.divergence
