@@ -45,8 +45,8 @@ FAST = RunnerConfig(match_timeout=2.0, done_timeout=2.0,
 FAULTS = FaultConfig(retries=2, backoff=0.05, convergence_timeout=2.0)
 
 
-def run_arm(kit, guided: bool, budget: int) -> dict:
-    mapping, cluster_factory, graph, suite = kit
+def run_arm(bed, guided: bool, budget: int) -> dict:
+    mapping, cluster_factory, graph, suite = bed
     started = time.perf_counter()
     result = fuzz_campaign(
         graph, suite, mapping, cluster_factory,
@@ -85,13 +85,13 @@ def main(argv=None) -> int:
     suite = generate_test_cases(
         graph, por=True, seed=0,
         independence=analyze_spec(spec).independence()).truncated(args.cases)
-    kit = (mapping, cluster_factory, graph, suite)
+    bed = (mapping, cluster_factory, graph, suite)
 
     print(f"fuzz bench: raftkv, {graph.num_states} states / "
           f"{graph.num_edges} edges, {len(suite)} base cases, "
           f"budget {args.budget} per arm")
-    arms = {"guided": run_arm(kit, True, args.budget),
-            "unguided": run_arm(kit, False, args.budget)}
+    arms = {"guided": run_arm(bed, True, args.budget),
+            "unguided": run_arm(bed, False, args.budget)}
     for name, arm in arms.items():
         print(f"  {name:<9} {arm['distinct_states']:>4} states "
               f"{arm['distinct_edges']:>4} edges  "

@@ -12,9 +12,7 @@ from __future__ import annotations
 import os
 from typing import List
 
-from ..systems.catalog import (
-    BARE_MODELS, TARGETS, UnknownName, get_model, get_target, kit,
-)
+from ..systems.catalog import BARE_MODELS, TARGETS, spec_and_mapping
 from .astmodel import ImplModel
 from .engine import LintContext
 
@@ -28,11 +26,8 @@ def all_targets() -> List[str]:
 
 def resolve(name: str) -> LintContext:
     """Build the lint context for one target name."""
-    if name in TARGETS:
-        spec, mapping, _factory = kit(name)
-        package = os.path.dirname(get_target(name).package.__file__)
-        return LintContext(name, spec, mapping, ImplModel.from_package(package))
-    if name in BARE_MODELS:
-        return LintContext(name, get_model(name)())
-    raise UnknownName(
-        f"unknown lint target {name!r} (known: {'|'.join(all_targets())})")
+    spec, mapping = spec_and_mapping(name, "lint target")
+    if mapping is None:
+        return LintContext(name, spec)
+    package = os.path.dirname(TARGETS[name].package.__file__)
+    return LintContext(name, spec, mapping, ImplModel.from_package(package))

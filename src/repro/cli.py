@@ -23,6 +23,7 @@ from .core import ControlledTester, generate_test_cases
 from .obs import METRICS, TRACER, TraceReader
 from .systems.catalog import (
     BARE_MODELS, MODELS, RUNNER, TARGETS, UnknownName, get_model, kit,
+    spec_and_mapping,
 )
 from .tlaplus import check, write_dot
 
@@ -37,23 +38,29 @@ class _ArtifactError(Exception):
 
 
 @contextlib.contextmanager
-def _artifact(what: str, path):
+def _artifact(what: str, path, missing="no such {what}: {path}",
+              bad="cannot read {what} {path}: {exc}"):
     """Fail closed while reading the artifact file ``path`` (a ``what``).
 
-    Whatever the enclosed load raises about the file — missing,
-    unreadable, truncated, wrong ``format``, a required key absent —
-    ends the command with one line on stderr and exit code 2.
+    Whatever the enclosed load raises about the file ends the command
+    with one line on stderr and exit code 2: ``missing`` when the file
+    does not exist, ``bad`` when it is unreadable, truncated, of the
+    wrong ``format`` or lacks a required key.  Enclose the load alone.
     """
     try:
         yield
     except (OSError, ValueError, KeyError) as exc:
-        if isinstance(exc, FileNotFoundError):
-            reason = f"no such {what}"
-        elif isinstance(exc, KeyError):
-            reason = f"missing key {exc}"
-        else:
-            reason = str(exc)
-        raise _ArtifactError(f"cannot read {what} {path}: {reason}") from exc
+        line = missing if isinstance(exc, FileNotFoundError) else bad
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise _ArtifactError(
+            line.format(what=what, path=path, exc=reason)) from exc
+
+
+def _streamed(items, *artifact, **lines):
+    """``items``, failing closed as :func:`_artifact` does on what
+    *reading* them raises — not on what the consumer does with each."""
+    with _artifact(*artifact, **lines):
+        yield from items
 
 
 def _spec_independence(spec):
@@ -188,45 +195,40 @@ def _load_plan(path, what="fault plan"):
         return FaultPlan.load(path)
 
 
-def _run(args, target, kit_: _Kit, plan=None, max_cases=None,
-         shrink=False) -> int:
-    """Run ``kit_``'s suite on the testbed — under ``plan``'s injections
-    when there is one — then report, triage and optionally shrink."""
-    from .faults import FaultRunner, apply_plan, render_triage, triage
+def _testbed(kit_: _Kit, plan=None):
+    """``(suite, tester)`` for ``kit_``: its suite on the plain tester,
+    or — under ``plan``'s injections — the derived suite on the fault
+    runner."""
+    if plan is None:
+        return kit_.suite, ControlledTester(kit_.mapping, kit_.graph,
+                                            kit_.cluster_factory, RUNNER)
+    from .faults import FaultRunner, apply_plan
 
-    as_test = args.command == "test"
-    if plan is None:
-        suite = kit_.suite
-        tester = ControlledTester(kit_.mapping, kit_.graph,
-                                  kit_.cluster_factory, RUNNER)
-    else:
-        suite = apply_plan(kit_.suite, kit_.graph, plan)
-        tester = FaultRunner(kit_.mapping, kit_.graph, kit_.cluster_factory,
-                             plan, RUNNER)
-        print(f"fault plan: {plan.summary()}")
-    if as_test:
-        print(f"running up to {max_cases or len(suite)} of {len(suite)} cases "
-              f"against {target} "
-              f"({'buggy: ' + ','.join(args.bug) if args.bug else 'correct'})")
-    started = time.monotonic()
-    outcome = tester.run_suite(
-        suite, stop_on_divergence=as_test and args.stop_on_bug,
-        max_cases=max_cases, workers=args.workers)
-    elapsed = time.monotonic() - started
-    print(f"{outcome.summary()} ({elapsed:.1f}s wall clock)" if as_test
-          else outcome.summary())
-    if plan is None:
-        for failing in outcome.failures[:5]:
-            print(f"  case #{failing.case.case_id}: "
-                  f"{failing.divergence.headline()}")
-            print(f"    schedule: {failing.case.describe()[:160]}")
-        return 0 if outcome.passed else 1
-    # the coverage line (graph=) belongs to `faults run|replay` only
-    payload = triage(outcome, plan, graph=None if as_test else kit_.graph)
+    print(f"fault plan: {plan.summary()}")
+    return (apply_plan(kit_.suite, kit_.graph, plan),
+            FaultRunner(kit_.mapping, kit_.graph, kit_.cluster_factory, plan,
+                        RUNNER))
+
+
+def _triage(args, kit_: _Kit, plan, outcome, graph=None, shrink=False) -> int:
+    """Print the triage of a faulted run (with a coverage line when
+    given the ``graph``), shrink the plan if asked to; the exit code."""
+    from .faults import render_triage, triage
+
+    payload = triage(outcome, plan, graph=graph)
     print(render_triage(payload))
     if payload["unattributed"] and shrink:
         _shrink_and_report(args, kit_, plan)
     return 0 if payload["unattributed"] == 0 else 1
+
+
+def _run_plan(args, kit_: _Kit, plan, max_cases=None, shrink=False) -> int:
+    """``faults run|replay``: execute ``kit_``'s suite under ``plan``."""
+    suite, tester = _testbed(kit_, plan)
+    outcome = tester.run_suite(suite, max_cases=max_cases,
+                               workers=args.workers)
+    print(outcome.summary())
+    return _triage(args, kit_, plan, outcome, kit_.graph, shrink)
 
 
 def _shrink_and_report(args, kit_: _Kit, plan, budget=200, out=None,
@@ -261,17 +263,33 @@ def _cmd_test(args) -> int:
     target = args.target or args.system
     if target is None:
         raise SystemExit("test: name a target (positional or --system)")
-    want_faults = args.faults or args.chaos
+    faulted = args.faults or args.chaos
 
     def command() -> int:
-        if not want_faults:
-            kit_ = _suite_kit(args, target, canonical=False,
-                              **_check_kwargs(args))
-            return _run(args, target, kit_, max_cases=args.cases)
-        kit_ = _suite_kit(args, target, canonical=True, cases=args.cases,
+        # a faulted run plans over the capped suite (see _plan); a plain
+        # one generates the whole suite and stops after --cases
+        kit_ = _suite_kit(args, target, canonical=faulted,
+                          cases=args.cases if faulted else None,
                           **_check_kwargs(args))
-        return _run(args, target, kit_, _plan(args, target, kit_),
-                    shrink=args.shrink_on_failure)
+        plan = _plan(args, target, kit_) if faulted else None
+        max_cases = None if faulted else args.cases
+        suite, tester = _testbed(kit_, plan)
+        print(f"running up to {max_cases or len(suite)} of {len(suite)} cases "
+              f"against {target} "
+              f"({'buggy: ' + ','.join(args.bug) if args.bug else 'correct'})")
+        started = time.monotonic()
+        outcome = tester.run_suite(suite, stop_on_divergence=args.stop_on_bug,
+                                   max_cases=max_cases, workers=args.workers)
+        elapsed = time.monotonic() - started
+        print(f"{outcome.summary()} ({elapsed:.1f}s wall clock)")
+        if faulted:
+            return _triage(args, kit_, plan, outcome,
+                           shrink=args.shrink_on_failure)
+        for failing in outcome.failures[:5]:
+            print(f"  case #{failing.case.case_id}: "
+                  f"{failing.divergence.headline()}")
+            print(f"    schedule: {failing.case.describe()[:160]}")
+        return 0 if outcome.passed else 1
 
     return _with_obs(args, command)
 
@@ -291,8 +309,8 @@ def _cmd_faults_plan(args) -> int:
 def _cmd_faults_run(args) -> int:
     def command() -> int:
         kit_ = _suite_kit(args, args.target, canonical=True, cases=args.cases)
-        return _run(args, args.target, kit_, _plan(args, args.target, kit_),
-                    shrink=args.shrink_on_failure)
+        return _run_plan(args, kit_, _plan(args, args.target, kit_),
+                         shrink=args.shrink_on_failure)
 
     return _with_obs(args, command)
 
@@ -301,7 +319,7 @@ def _cmd_faults_replay(args) -> int:
     def command() -> int:
         plan = _load_plan(args.plan)
         kit_ = _suite_kit(args, args.target, canonical=True)
-        return _run(args, args.target, kit_, plan, max_cases=args.cases)
+        return _run_plan(args, kit_, plan, max_cases=args.cases)
 
     return _with_obs(args, command)
 
@@ -392,12 +410,14 @@ def _cmd_soak(args) -> int:
     def command() -> int:
         schedule = None
         if args.schedule:
-            with _artifact("schedule", args.schedule):
+            with _artifact("schedule", args.schedule,
+                           missing="cannot read {what} {path}: {exc}"):
                 with open(args.schedule, encoding="utf-8") as fh:
                     doc = json.load(fh)
                 if (not isinstance(doc, dict)
                         or doc.get("format") != SCHEDULE_FORMAT):
-                    raise ValueError(f"not a {SCHEDULE_FORMAT} file")
+                    raise _ArtifactError(f"{args.schedule} is not a "
+                                         f"{SCHEDULE_FORMAT} file")
                 schedule = doc["events"]
                 schedule_faults = bool(doc.get("faults", any(schedule)))
         try:
@@ -487,7 +507,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_trace_summarize(args) -> int:
-    reader = TraceReader.from_file(args.file)  # lazy: read on summarize
+    reader = TraceReader.from_file(args.file)
+    # the reader is lazy and summarizing is one streaming pass over the
+    # file, so that pass *is* the load; printing stays outside
     with _artifact("trace", args.file):
         if args.format == "json":
             text = json.dumps(reader.summary_dict(max_cases=args.cases),
@@ -502,17 +524,10 @@ def _cmd_conform(args) -> int:
     from .conform import ConformanceMonitor, ConformanceOptions, get_adapter
 
     def command() -> int:
-        # A system brings the event bindings that translate log events
-        # into spec actions; a bare model assumes events name actions
-        # directly.  ``raftkv`` names both — the system wins, as in
-        # ``mocket test``.
-        if args.spec in TARGETS:
-            spec, mapping, _factory = kit(args.spec)
-        elif args.spec in BARE_MODELS:
-            spec, mapping = get_model(args.spec)(), None
-        else:
-            raise UnknownName(f"unknown conform target {args.spec!r} "
-                              f"({_SYSTEMS}|{_BARE_MODELS})")
+        # a system's mapping carries the event bindings that translate
+        # log events into spec actions; a bare model has none and
+        # assumes events name actions directly
+        spec, mapping = spec_and_mapping(args.spec, "conform target")
         graph = check(spec, max_states=args.max_states, truncate=True,
                       **_check_kwargs(args)).graph
         options = ConformanceOptions(max_frontier=args.max_frontier,
@@ -528,21 +543,19 @@ def _cmd_conform(args) -> int:
             source, label = sys.stdin, "<stdin>"
         else:
             source, label = args.log, args.log
-        # the log streams through the monitor, so reading and replaying
-        # it are one block
-        with _artifact("log", label):
-            if args.stream:
-                # incremental mode: deterministic count-based progress
-                # (never timing-based — output stays byte-identical)
-                for event in adapter.read(source):
-                    monitor.feed(event)
-                    if args.progress and monitor.events % args.progress == 0:
-                        print(f"... {monitor.events} events, frontier "
-                              f"{len(monitor.frontier)}", file=sys.stderr)
-                report = monitor.finish(log=label, adapter=args.adapter)
-            else:
-                report = monitor.run(adapter.read(source), log=label,
-                                     adapter=args.adapter)
+        # adapters tag a malformed line with <path>:<line> themselves
+        events = _streamed(adapter.read(source), "log", label, bad="{exc}")
+        if args.stream:
+            # incremental mode: deterministic count-based progress
+            # (never timing-based — output stays byte-identical)
+            for event in events:
+                monitor.feed(event)
+                if args.progress and monitor.events % args.progress == 0:
+                    print(f"... {monitor.events} events, frontier "
+                          f"{len(monitor.frontier)}", file=sys.stderr)
+            report = monitor.finish(log=label, adapter=args.adapter)
+        else:
+            report = monitor.run(events, log=label, adapter=args.adapter)
         print(report.to_json() if args.format == "json"
               else report.render_text())
         return 0 if report.ok else 1
@@ -574,13 +587,14 @@ def _cmd_bugs(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-#: every flag more than one verb takes, stated once; verbs pick by name
+#: every flag more than one verb takes *with one meaning*, stated once;
+#: verbs pick by name (soak's --faults/--workers and trace's --cases mean
+#: something else and are declared by those verbs)
 _FLAGS = {
     "bug": dict(action="append", default=[], metavar="FLAG",
                 help="seed a bug flag (repeatable)"),
     "cases": dict(type=int, default=None, metavar="N",
-                  help="use only the first N cases (of the suite, or of "
-                       "the timelines to show)"),
+                  help="use only the first N cases of the suite"),
     "chaos": dict(action="store_true",
                   help="also inject disruptive spec-unmodeled faults "
                        "(bounce/crash/corrupt) with convergence-mode "
@@ -592,10 +606,6 @@ _FLAGS = {
     "fault-seed": dict(default="0", metavar="SEED",
                        help="nemesis seed: same seed => byte-identical "
                             "fault plan and identical reports (default: 0)"),
-    "faults": dict(action="store_true",
-                   help="inject seeded faults (test: modeled + transparent "
-                        "chaos, docs/FAULTS.md; soak: a virtual-time "
-                        "schedule of partitions, crashes, link delays)"),
     "format": dict(choices=("text", "json"), default="text",
                    help="json prints the stable v1 envelope"),
     "max-faults": dict(type=int, default=1, metavar="K",
@@ -626,8 +636,8 @@ _FLAGS = {
     "trace": dict(metavar="FILE",
                   help="write a JSONL trace of the run to FILE"),
     "workers": dict(type=int, default=1, metavar="N",
-                    help="run cases (soak: shards) in N worker processes; "
-                         "never changes a byte of output (default: 1)"),
+                    help="run cases in N worker processes; never changes "
+                         "a byte of output (default: 1)"),
 }
 _SUITE = ("bug", "max-states", "seed", "no-por", "suite")  # _suite_kit's
 _NEMESIS = ("fault-seed", "chaos", "max-faults")           # _plan's
@@ -664,13 +674,16 @@ def main(argv: Optional[list] = None) -> int:
                    help="print the first N generated cases")
 
     p = _verb(sub, "test", _cmd_test,
-              (*_SUITE, "cases", "faults", *_NEMESIS, "shrink-on-failure",
+              (*_SUITE, "cases", *_NEMESIS, "shrink-on-failure",
                "workers", *_CHECKPOINT, *_OBS),
               help="controlled testing of a target")
     p.add_argument("target", nargs="?", default=None, help=_SYSTEMS)
     p.add_argument("--system", default=None,
                    help="the target system (alias for the positional)")
     p.add_argument("--stop-on-bug", action="store_true")
+    p.add_argument("--faults", action="store_true",
+                   help="inject modeled + transparent chaos faults "
+                        "while testing (docs/FAULTS.md)")
 
     faults_sub = sub.add_parser(
         "faults", help="seeded fault injection (see docs/FAULTS.md)",
@@ -723,7 +736,7 @@ def main(argv: Optional[list] = None) -> int:
                    help="control arm: same budget, plain seeded "
                         "planner stream, no coverage feedback")
 
-    p = _verb(sub, "soak", _cmd_soak, ("workers", "faults", "format", *_OBS),
+    p = _verb(sub, "soak", _cmd_soak, ("format", *_OBS),
               help="soak-scale workload on the deterministic simulation "
                    "runtime (see docs/RUNTIME.md)")
     p.add_argument("target", help="system to soak (raftkv)")
@@ -738,6 +751,13 @@ def main(argv: Optional[list] = None) -> int:
                    help="fixed number of independent simulation "
                         "shards; part of the run's identity, unlike "
                         "--workers (default: 4)")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="OS processes executing shards concurrently; "
+                        "never changes a byte of output (default: 1)")
+    p.add_argument("--faults", action="store_true",
+                   help="derive and inject a seeded virtual-time "
+                        "fault schedule (partitions, crashes, link "
+                        "delays)")
     p.add_argument("--rate", type=float, default=200.0, metavar="OPS",
                    help="open-loop client rate per shard, in "
                         "simulated ops/second (default: 200)")
@@ -805,10 +825,11 @@ def main(argv: Optional[list] = None) -> int:
     trace_sub = sub.add_parser(
         "trace", help="work with recorded JSONL traces",
     ).add_subparsers(dest="trace_command", required=True)
-    p = _verb(trace_sub, "summarize", _cmd_trace_summarize,
-              ("cases", "format"),
+    p = _verb(trace_sub, "summarize", _cmd_trace_summarize, ("format",),
               help="reconstruct per-case timelines from a trace")
     p.add_argument("file")
+    p.add_argument("--cases", type=int, default=None, metavar="N",
+                   help="show at most N case timelines")
 
     args = parser.parse_args(argv)
     try:

@@ -26,7 +26,8 @@ from .pyxraft import scenarios as pyxraft_scenarios
 from .raftkv import scenarios as raftkv_scenarios
 
 __all__ = ["BARE_MODELS", "MODELS", "RUNNER", "TARGETS", "Target",
-           "UnknownName", "get_model", "get_target", "kit"]
+           "UnknownName", "get_model", "get_target", "kit",
+           "spec_and_mapping"]
 
 #: the testbed timeouts every CLI verb runs the bundled systems under
 RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
@@ -128,3 +129,17 @@ def kit(name: str, bugs=(), servers=("n1", "n2", "n3"), spec=None,
         spec = get_model(target.model)()
     return (spec, target.build_mapping(spec, config),
             lambda: target.make_cluster(servers, config))
+
+
+def spec_and_mapping(name: str, kind: str):
+    """``(spec, mapping)`` for a name ``lint``, ``analyze`` and
+    ``conform`` accept: a system's tested model with its mapping, or a
+    bare model with ``None``.  ``raftkv`` names both a system and a
+    model — the system wins, as in ``mocket test``.  ``kind`` words the
+    unknown-name message."""
+    if name in TARGETS:
+        return kit(name)[:2]
+    if name in BARE_MODELS:
+        return MODELS[name](), None
+    raise UnknownName(
+        f"unknown {kind} {name!r} ({'|'.join((*TARGETS, *BARE_MODELS))})")

@@ -161,9 +161,33 @@ class TestArtifactsFailClosed:
         argv = make_argv(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"mocket {argv[0]}: cannot read ")
+        assert err.startswith(f"mocket {argv[0]}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, body, line", [
+        (["conform", "{f}", "--spec", "toycache"], None,
+         "no such log: {f}"),
+        (["conform", "{f}", "--spec", "toycache", "--adapter", "jsonl"],
+         "not json", "{f}:1: not a 'jsonl' log record: "
+                     "Expecting value: line 1 column 1 (char 0)"),
+        (["fuzz", "toycache", "--budget", "1", "--seed-plan", "{f}"], None,
+         "no such seed plan: {f}"),
+        (["soak", "raftkv", "--schedule", "{f}"], None,
+         "cannot read schedule {f}: "
+         "[Errno 2] No such file or directory: '{f}'"),
+        (["soak", "raftkv", "--schedule", "{f}"], '{"format": "other/1"}',
+         "{f} is not a mocket-soak-schedule/1 file"),
+    ])
+    def test_lines_older_than_the_helper_keep_their_wording(
+            self, argv, body, line, tmp_path, capsys):
+        path = tmp_path / "artifact"
+        if body is not None:
+            path.write_text(body)
+        argv = [arg.format(f=path) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"mocket {argv[0]}: {line.format(f=path)}\n")
 
 
 def _file(directory, document) -> str:
