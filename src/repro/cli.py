@@ -134,6 +134,13 @@ def _cmd_testgen(args) -> int:
         print(f"PathEC+POR: {len(suite_por)} cases, "
               f"{suite_por.total_actions()} actions "
               f"({suite_por.excluded_edges} edges dropped)")
+        if graph.refused_ids:
+            cut = sum(case.final_id in graph.refused_ids
+                      for case in suite_por)
+            print(f"truncated at --max-states {args.max_states}: {cut} of "
+                  f"{len(suite_por)} EC+POR cases end on a state whose "
+                  f"successors were cut off (no end-of-case "
+                  f"unexpected-action check there)")
         if args.show:
             for case in list(suite_por)[: args.show]:
                 print(f"  #{case.case_id}: {case.describe()}")

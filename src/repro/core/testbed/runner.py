@@ -46,18 +46,27 @@ __all__ = ["RunnerConfig", "ControlledTester"]
 
 
 class RunnerConfig:
-    """Timeouts and toggles for controlled testing."""
+    """Upper bounds and toggles for controlled testing.
+
+    Every wait ends as soon as the cluster is quiescent; the three
+    durations are only the ceiling for a system whose threads block
+    outside a declared park point (``docs/RUNTIME.md`` § Quiescence).
+    """
 
     def __init__(self, match_timeout: float = 2.0, done_timeout: float = 2.0,
                  quiesce_delay: float = 0.05, check_unexpected: bool = True):
-        self.match_timeout = match_timeout      # waiting for a matching notification
-        self.done_timeout = done_timeout        # waiting for an enabled action to finish
-        self.quiesce_delay = quiesce_delay      # settle time before the end-of-case check
+        self.match_timeout = match_timeout      # upper bound: wait for a matching notification
+        self.done_timeout = done_timeout        # upper bound: wait for an enabled action to finish
+        self.quiesce_delay = quiesce_delay      # upper bound: wait for quiescence before the end-of-case check
         self.check_unexpected = check_unexpected
 
 
 class ControlledTester:
     """Runs generated test cases against an instrumented system."""
+
+    #: upper bound on a client script's wind-down once its case is torn
+    #: down; every hook it could block in has been aborted by then
+    REQUEST_JOIN_TIMEOUT = 1.0
 
     def __init__(self, mapping: SpecMapping, graph: StateGraph,
                  cluster_factory: Callable[[], Cluster],
@@ -167,7 +176,7 @@ class ControlledTester:
             runtime.deactivate()
             cluster.shutdown()
             for thread in request_threads:
-                thread.join(timeout=1.0)
+                thread.join(self.REQUEST_JOIN_TIMEOUT)
             phases["teardown"] = time.monotonic() - phase_start
         return TestCaseResult(case, divergence, executed,
                               time.monotonic() - started,
@@ -291,7 +300,10 @@ class ControlledTester:
             except Exception:
                 pass  # failures surface as missing actions / state mismatches
 
-        thread = threading.Thread(target=script, daemon=True,
+        # a client-request thread is part of the system under test: it is
+        # counted as runnable from before it starts until it parks or exits
+        thread = threading.Thread(target=cluster.network.counted(script),
+                                  daemon=True,
                                   name=f"request-{step.label.name}-{occurrence}")
         request_threads.append(thread)
         thread.start()
@@ -345,7 +357,8 @@ class ControlledTester:
                          runtime: MocketRuntime, notification: Notification,
                          directive: str = "normal") -> Optional[Divergence]:
         runtime.scheduler.enable(notification, directive)
-        if not notification.done_event.wait(self.config.done_timeout):
+        if not runtime.scheduler.wait_done(notification,
+                                           self.config.done_timeout):
             return Divergence(
                 DivergenceKind.MISSING_ACTION, index, action=step.label.name,
                 detail="the enabled action never finished",
@@ -376,15 +389,32 @@ class ControlledTester:
     def _end_of_case_check(self, case: TestCase, runtime: MocketRuntime,
                            checker: StateChecker) -> Optional[Divergence]:
         """Leftover notifications must match transitions enabled in the
-        final verified state; anything else is an unexpected action."""
-        time.sleep(self.config.quiesce_delay)
+        final verified state; anything else is an unexpected action.
+
+        The leftovers are complete once the cluster is quiescent: every
+        thread that could still offer an action has done so and parked.
+        ``quiesce_delay`` only bounds that wait — a case that always
+        ends on the bound (``timed_out``) has a thread blocking outside
+        a park point.
+        """
+        with TRACER.span("runner.quiesce", case=case.case_id) as span:
+            started = time.monotonic()
+            settled = runtime.cluster.network.wait_quiescent(
+                self.config.quiesce_delay)
+            span.add(waited_s=time.monotonic() - started,
+                     timed_out=not settled)
+        if case.final_id in self.graph.refused_ids:
+            # exploration was cut off here (--max-states): the verified
+            # enabled set is incomplete, so "not enabled" proves nothing
+            return None
         enabled = set(self.graph.enabled_labels(case.final_id))
-        for notification in runtime.scheduler.pending_snapshot():
+        pending = runtime.scheduler.pending_snapshot()
+        for notification in pending:
             if notification.label() not in enabled:
                 return Divergence(
                     DivergenceKind.UNEXPECTED_ACTION, len(case.steps),
                     action=notification.name,
-                    pending=[n.summary() for n in runtime.scheduler.pending_snapshot()],
+                    pending=[n.summary() for n in pending],
                     detail=f"{notification.summary()} is not enabled in the "
                            f"final verified state s{case.final_id}",
                 )

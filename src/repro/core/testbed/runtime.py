@@ -33,7 +33,7 @@ class MocketRuntime:
     def __init__(self, mapping: SpecMapping, cluster):
         self.mapping = mapping
         self.cluster = cluster
-        self.scheduler = ActionScheduler()
+        self.scheduler = ActionScheduler(cluster.network)
         self.message_sets = MessageSets(mapping.message_variables())
         # node_id -> {spec_var: raw impl value}; crashed nodes keep their
         # last snapshot, matching the spec's view of a dead node.
@@ -112,4 +112,4 @@ class MocketRuntime:
             for msg_var, fields in scope.sent_messages:
                 self.message_sets.add(msg_var, self.mapping.to_spec_value(fields))
             self.snapshot_node(scope.node)
-        notification.done_event.set()
+        self.scheduler.finish(notification)

@@ -5,6 +5,15 @@ matches notifications against the scheduled action of the current test
 case: the matching notification's thread is resumed, all others stay
 blocked in the waiting set "until they match their corresponding
 scheduled actions".
+
+The waiting set lives under the cluster network's lock and the testbed
+waits on the network's ``idle`` condition, so each wait below is one
+``Condition.wait`` on "what I am waiting for happened, or the cluster is
+quiescent, or the deadline passed".  A quiescent cluster (no runnable
+thread, no deliverable mail — see :mod:`repro.runtime.network`) cannot
+produce the awaited notification or finish the enabled action, so the
+verdict is given at once; the timeout is only the ceiling for systems
+whose threads block outside a declared park point.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ...obs import METRICS, TRACER
+from ...runtime.network import Network
 from ...tlaplus.state import ActionLabel
 from ...tlaplus.values import FrozenDict, freeze
 
@@ -65,11 +75,23 @@ class Notification:
 
 
 class ActionScheduler:
-    """Waiting set + matching logic."""
+    """Waiting set + matching logic.
 
-    def __init__(self):
+    ``network`` is the controlled cluster's fabric; a scheduler built
+    without one (unit tests) has no cluster to observe and only ever
+    ends a wait on a match or the deadline.
+    """
+
+    def __init__(self, network: Optional[Network] = None):
         self._pending: List[Notification] = []
-        self._cond = threading.Condition()
+        if network is not None:
+            self._cond = network.idle
+            self._quiescent = network.quiescent_locked
+            self._wake = network.wake
+        else:
+            self._cond = threading.Condition()
+            self._quiescent = lambda: False
+            self._wake = threading.Event.set
         self.notified_count = 0
 
     # -- hook side ------------------------------------------------------------
@@ -92,7 +114,8 @@ class ActionScheduler:
 
         The matched notification is removed from the waiting set but NOT
         yet enabled — the caller sets its directive and calls
-        :meth:`enable`.
+        :meth:`enable`.  Returns None as soon as the cluster is
+        quiescent without a match, at the latest after ``timeout``.
         """
         deadline = time.monotonic() + timeout
         with self._cond:
@@ -107,20 +130,52 @@ class ActionScheduler:
                                 time.monotonic() - notification.submitted_at
                             )
                         return notification
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if not self._may_progress(deadline):
                     return None
-                self._cond.wait(remaining)
+
+    def _may_progress(self, deadline: float) -> bool:
+        """One wait (``self._cond`` held) for something to change; False
+        when nothing can any more: the cluster is quiescent — an *idle
+        verdict*, counted — or ``deadline`` has passed."""
+        if self._quiescent():
+            if TRACER.enabled:
+                TRACER.emit("testbed.idle_verdict")
+                METRICS.counter("testbed.idle_verdicts").inc()
+            return False
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        self._cond.wait(remaining)
+        return True
 
     def wait_for_label(self, label: ActionLabel, timeout: float) -> Optional[Notification]:
         """Wait for a notification matching the scheduled action exactly."""
         return self.wait_for(lambda n: n.matches(label), timeout)
 
-    @staticmethod
-    def enable(notification: Notification, directive: str = "normal") -> None:
-        """Resume the blocked thread with the given fault directive."""
+    def enable(self, notification: Notification,
+               directive: str = "normal") -> None:
+        """Resume the blocked thread with the given fault directive,
+        crediting it to the quiescence count before the wake."""
         notification.directive = directive
-        notification.enable_event.set()
+        self._wake(notification.enable_event)
+
+    def finish(self, notification: Notification) -> None:
+        """Hook side: the enabled action completed."""
+        with self._cond:
+            notification.done_event.set()
+            self._cond.notify_all()
+
+    def wait_done(self, notification: Notification, timeout: float) -> bool:
+        """Wait for an enabled action to finish.  False as soon as the
+        cluster is quiescent with the action unfinished (its thread is
+        parked somewhere and nothing will wake it), at the latest after
+        ``timeout``."""
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while not notification.done_event.is_set():
+                if not self._may_progress(deadline):
+                    return False
+            return True
 
     # -- end-of-case bookkeeping ----------------------------------------------------
     def pending_snapshot(self) -> List[Notification]:
@@ -148,16 +203,14 @@ class ActionScheduler:
             stale = [n for n in self._pending if n.node_id == node_id]
             self._pending = [n for n in self._pending if n.node_id != node_id]
         for notification in stale:
-            notification.directive = "abort"
-            notification.enable_event.set()
+            self.enable(notification, "abort")
 
     def abort_all(self) -> None:
         """Release every blocked thread with the abort directive (teardown)."""
         with self._cond:
             pending, self._pending = self._pending, []
         for notification in pending:
-            notification.directive = "abort"
-            notification.enable_event.set()
+            self.enable(notification, "abort")
 
     def __repr__(self) -> str:
         with self._cond:

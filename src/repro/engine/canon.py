@@ -89,6 +89,7 @@ def canonicalize(graph: StateGraph) -> StateGraph:
     for src, _name, _params, dst, label in renumbered:
         canonical.add_edge(
             src, dst, ActionLabel(label.name, dict(canonical_value(label.params))))
+    canonical.refused_ids = {assigned[n] for n in graph.refused_ids}
     return canonical
 
 

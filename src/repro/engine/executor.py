@@ -1,10 +1,10 @@
 """Parallel test-suite execution with per-case process isolation.
 
-Controlled testing (``mocket test``) is wall-clock bound, not CPU
-bound: every case deploys a fresh cluster and then mostly *waits* — on
-scheduler notifications, action completion events and quiesce delays.
-Running cases in worker processes overlaps those waits, so suite
-throughput scales with workers even on a single core.
+Every case of controlled testing (``mocket test``) deploys a fresh
+cluster and is independent of every other, so cases can run in worker
+processes: a clean case is CPU-bound and scales with cores, and a case
+that waits out a timeout (a seeded bug, a healed fault) overlaps its
+wait with the others' work.
 
 Design:
 

@@ -267,6 +267,16 @@ class TraceReader:
                 f"{coverage['edges']}{of_edges} edges visited")
 
     @staticmethod
+    def _quiesce_line(quiesce: Dict[str, Any]) -> str:
+        """End-of-case quiescence waits and idle verdicts.  A wait that
+        ended on its bound means some thread blocks outside a park
+        point; an idle verdict is a timeout cut short by quiescence."""
+        return (f"quiescence: {quiesce['waits']} end-of-case waits, "
+                f"{quiesce['waited_s']:.3f}s waited, "
+                f"{quiesce['timed_out']} ended on the bound; "
+                f"{quiesce['idle_verdicts']} idle verdicts")
+
+    @staticmethod
     def _soak_line(fields: Dict[str, Any]) -> str:
         div = fields.get("divergences") or {}
         kinds = (", ".join(f"{k}={v}" for k, v in sorted(div.items()))
@@ -322,6 +332,8 @@ class TraceReader:
         counts: Dict[str, int] = {}
         shrink_fields = conform_fields = fuzz_fields = None
         soak_fields = None
+        quiesce = {"waits": 0, "waited_s": 0.0, "timed_out": 0,
+                   "idle_verdicts": 0}
         graph_states = graph_edges = None
         state_fps: set = set()
         edge_fps: set = set()
@@ -341,6 +353,12 @@ class TraceReader:
                 fuzz_fields = event.fields
             elif event.name == "soak.done":
                 soak_fields = event.fields
+            elif event.name == "runner.quiesce":
+                quiesce["waits"] += 1
+                quiesce["waited_s"] += event.fields.get("waited_s", 0.0)
+                quiesce["timed_out"] += bool(event.fields.get("timed_out"))
+            elif event.name == "testbed.idle_verdict":
+                quiesce["idle_verdicts"] += 1
             elif event.name == "runner.suite":
                 if event.fields.get("graph_states") is not None:
                     graph_states = event.fields["graph_states"]
@@ -381,6 +399,8 @@ class TraceReader:
             "coverage": coverage,
             "fuzz": fuzz_fields,
             "soak": soak_fields,
+            "quiescence": (quiesce if quiesce["waits"]
+                           or quiesce["idle_verdicts"] else None),
         }
 
     def summary_dict(self, max_cases: Optional[int] = None) -> Dict[str, Any]:
@@ -420,6 +440,7 @@ class TraceReader:
                          if scan["coverage"] else None),
             "fuzz": dict(scan["fuzz"]) if scan["fuzz"] else None,
             "soak": dict(scan["soak"]) if scan["soak"] else None,
+            "quiescence": scan["quiescence"],
         }
 
     # -- human output ---------------------------------------------------------
@@ -448,6 +469,8 @@ class TraceReader:
             lines.append(self._fuzz_line(scan["fuzz"]))
         if scan["soak"]:
             lines.append(self._soak_line(scan["soak"]))
+        if scan["quiescence"]:
+            lines.append(self._quiesce_line(scan["quiescence"]))
         timelines = scan["timelines"]
         if timelines:
             divergent = sum(1 for t in timelines.values() if not t.passed)

@@ -55,10 +55,14 @@ class Cluster:
             self._launch(node_id)
 
     def shutdown(self) -> None:
-        """Stop every node and tear the cluster down."""
-        for node in list(self.nodes.values()):
+        """Stop every node and tear the cluster down: signal them all,
+        then join them all, so they wind down side by side."""
+        nodes = list(self.nodes.values())
+        for node in nodes:
             self.network.unregister(node.node_id)
-            node.stop()
+            node.halt()
+        for node in nodes:
+            node.join()
         self.nodes.clear()
         self.deployed = False
 

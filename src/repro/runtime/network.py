@@ -44,6 +44,22 @@ disturbances, all released by the same :meth:`heal`:
   the holds above this *loses* the message, so it is a disruptive
   fault.
 
+The network is also the cluster's **quiescence monitor**
+(``docs/RUNTIME.md`` § Quiescence).  It counts the *runnable* node and
+client-request threads (:meth:`counted`); a thread leaves the count only
+at a declared park point — a blocking :meth:`receive` or :meth:`park` —
+and whoever makes a parked thread runnable credits it *before* the wake
+(:meth:`wake`, :meth:`halt`).  The cluster is quiescent iff the count is
+0 and no *up* node has mail: nothing can happen until the testbed acts.
+Mail for down nodes and envelopes held by the nemesis are retained, not
+pending work.  A thread blocked anywhere else (``time.sleep``, a raw
+``Event.wait``) stays counted, so the cluster merely never looks
+quiescent and waiters fall back to their upper bounds; threads that were
+never counted (the testbed, a test calling ``receive`` itself) never
+move the count.  :attr:`idle` is the condition the testbed waits on —
+the action scheduler keeps its waiting set under the same lock, so
+"match pending, quiescent or deadline" is one ``wait``.
+
 Under the deterministic simulation harness the same fault semantics
 apply, but delivery itself becomes a virtual-time event on the seeded
 scheduler: see :class:`repro.runtime.sim.SimNetwork`, which subclasses
@@ -53,8 +69,9 @@ behave identically on both paths (``docs/RUNTIME.md``).
 
 from __future__ import annotations
 
-import queue
 import threading
+import time
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = ["Envelope", "Network", "RpcError"]
@@ -78,14 +95,32 @@ class Envelope:
         return f"Envelope({self.src} -> {self.dst}: {self.payload!r})"
 
 
+class _Mailbox(deque):
+    """One node identity's pending envelopes, plus the condition its
+    blocked receiver waits on (under the network lock)."""
+
+    __slots__ = ("ready",)
+
+    def __init__(self, lock: threading.Lock):
+        super().__init__()
+        self.ready = threading.Condition(lock)
+
+
 class Network:
-    """The cluster's message fabric."""
+    """The cluster's message fabric and quiescence monitor."""
 
     def __init__(self):
-        self._inboxes: Dict[str, "queue.Queue[Envelope]"] = {}
+        self._inboxes: Dict[str, _Mailbox] = {}
         self._up: Dict[str, bool] = {}
         self._rpc_handlers: Dict[str, Callable[[str, Any], Any]] = {}
         self._lock = threading.Lock()
+        # quiescence monitor: runnable counted threads, the events parked
+        # threads block on (event -> (owner's stop event, counted)), and
+        # the condition the testbed waits on — all under ``_lock``
+        self.idle = threading.Condition(self._lock)
+        self._busy = 0
+        self._parked: Dict[threading.Event, tuple] = {}
+        self._tls = threading.local()
         self.sent_count = 0
         self.dead_letters: List[Envelope] = []
         # nemesis state: node_id -> partition group index, held envelopes
@@ -107,7 +142,7 @@ class Network:
         existed before — a restarted node sees retained messages."""
         with self._lock:
             if node_id not in self._inboxes:
-                self._inboxes[node_id] = queue.Queue()
+                self._inboxes[node_id] = _Mailbox(self._lock)
             self._up[node_id] = True
             if rpc_handler is not None:
                 self._rpc_handlers[node_id] = rpc_handler
@@ -117,10 +152,115 @@ class Network:
         with self._lock:
             self._up[node_id] = False
             self._rpc_handlers.pop(node_id, None)
+            self._settled()  # its mail no longer counts as pending work
 
     def is_registered(self, node_id: str) -> bool:
         with self._lock:
             return self._up.get(node_id, False)
+
+    # -- quiescence ----------------------------------------------------------
+    def quiescent_locked(self) -> bool:
+        """:attr:`quiescent` for a caller that holds :attr:`idle`."""
+        return self._busy == 0 and not any(
+            inbox and self._up.get(node_id)
+            for node_id, inbox in self._inboxes.items())
+
+    def _settled(self) -> None:
+        """Wake the testbed if the cluster just became quiescent.  Called
+        (lock held) wherever the count falls or pending mail goes away."""
+        if self.quiescent_locked():
+            self.idle.notify_all()
+
+    @property
+    def quiescent(self) -> bool:
+        """True when no counted thread is runnable and no up node has
+        mail: nothing happens until the testbed acts."""
+        with self._lock:
+            return self.quiescent_locked()
+
+    def wait_quiescent(self, timeout: float) -> bool:
+        """Block until the cluster is quiescent, at most ``timeout``
+        seconds; False when the bound, not the condition, ended the wait."""
+        deadline = time.monotonic() + timeout
+        with self.idle:
+            while not self.quiescent_locked():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self.idle.wait(remaining)
+            return True
+
+    def counted(self, target: Callable[[], None]) -> Callable[[], None]:
+        """Credit one runnable thread *now* and return the body to run
+        on it — call before ``Thread.start()``, so the cluster cannot
+        look quiescent between the decision to start work and the new
+        thread's first instruction.  The body marks its thread as
+        counted and gives the credit back when ``target`` returns."""
+        with self._lock:
+            self._busy += 1
+
+        def body() -> None:
+            self._tls.counted = True
+            try:
+                target()
+            finally:
+                with self._lock:
+                    self._busy -= 1
+                    self._settled()
+
+        return body
+
+    def park(self, event: threading.Event, timeout: Optional[float] = None,
+             stop: Optional[threading.Event] = None) -> bool:
+        """Park point: block the calling thread on ``event`` (one parker
+        per event), at most ``timeout`` seconds; True when it fired.
+
+        A counted thread leaves the count while parked.  :meth:`wake`
+        credits it back before setting the event; :meth:`halt` on
+        ``stop`` does the same.  After a timeout — or a bare
+        ``event.set()`` that credited nothing — the thread credits
+        itself, under the lock, so no wake can interleave.
+        """
+        counted = getattr(self._tls, "counted", False)
+        with self._lock:
+            if event.is_set() or (stop is not None and stop.is_set()):
+                return event.is_set()
+            self._parked[event] = (stop, counted)
+            if counted:
+                self._busy -= 1
+                self._settled()
+        event.wait(timeout)
+        with self._lock:
+            if self._parked.pop(event, None) is not None and counted:
+                self._busy += 1
+            return event.is_set()
+
+    def _release(self, event: threading.Event) -> None:
+        """Credit ``event``'s parked thread, then fire it.  Caller must
+        hold ``self._lock`` — "already fired" and "parked" cannot
+        interleave."""
+        entry = self._parked.pop(event, None)
+        if entry is not None and entry[1]:
+            self._busy += 1
+        event.set()
+
+    def wake(self, event: threading.Event) -> None:
+        """Fire ``event``, crediting the thread parked on it first."""
+        with self._lock:
+            self._release(event)
+
+    def halt(self, stop: threading.Event) -> None:
+        """Set a node's ``stop`` event and wake everything that node has
+        parked: threads in :meth:`park` (credited first) and blocking
+        :meth:`receive` calls that named ``stop`` (those take nothing
+        and only re-enter the count to leave their loop)."""
+        with self._lock:
+            stop.set()
+            for event in [event for event, (owner, _counted)
+                          in self._parked.items() if owner is stop]:
+                self._release(event)
+            for inbox in self._inboxes.values():
+                inbox.ready.notify_all()
 
     # -- asynchronous delivery --------------------------------------------------
     def _route(self, envelope: Envelope):
@@ -145,6 +285,14 @@ class Network:
             return "held", inbox, True  # held, not lost: delivered on heal()
         return "deliver", inbox, self._up.get(envelope.dst, False)
 
+    @staticmethod
+    def _put(inbox: _Mailbox, envelope: Envelope) -> None:
+        """Mailbox put + receiver resume.  Caller must hold the lock, so
+        the mail is pending work from the put until the woken receiver
+        (which re-enters the count under the same lock) takes it."""
+        inbox.append(envelope)
+        inbox.ready.notify()
+
     def send(self, src: str, dst: str, payload: Any) -> bool:
         """Deliver ``payload`` into ``dst``'s mailbox.
 
@@ -155,9 +303,9 @@ class Network:
         envelope = Envelope(src, dst, payload)
         with self._lock:
             disposition, inbox, up = self._route(envelope)
-        if disposition == "deliver":
-            inbox.put(envelope)
-            return up
+            if disposition == "deliver":
+                self._put(inbox, envelope)
+                return up
         return disposition == "held"
 
     def redeliver(self, node_id: str, payload: Any, src: str = "") -> None:
@@ -170,25 +318,49 @@ class Network:
         with self._lock:
             inbox = self._inboxes.get(node_id)
             if inbox is None:
-                inbox = queue.Queue()
+                inbox = _Mailbox(self._lock)
                 self._inboxes[node_id] = inbox
-        inbox.put(Envelope(src, node_id, payload))
+            self._put(inbox, Envelope(src, node_id, payload))
 
-    def receive(self, node_id: str, timeout: Optional[float] = None) -> Optional[Envelope]:
-        """Dequeue the next message for ``node_id`` (None on timeout)."""
+    def receive(self, node_id: str, timeout: Optional[float] = None,
+                stop: Optional[threading.Event] = None) -> Optional[Envelope]:
+        """Dequeue the next message for ``node_id`` (None when empty).
+
+        Non-blocking by default.  With ``timeout`` it waits at most that
+        long for mail.  With ``stop`` — the owning node's stop event —
+        it is the inbox loops' park point: it blocks until mail arrives
+        or :meth:`halt` fires ``stop``, and a stopped node takes nothing
+        (its mail stays for the next incarnation).
+        """
         with self._lock:
             inbox = self._inboxes.get(node_id)
-        if inbox is None:
-            return None
-        try:
-            return inbox.get(timeout=timeout) if timeout is not None else inbox.get_nowait()
-        except queue.Empty:
-            return None
+            if inbox is None:
+                return None
+            if not inbox and (timeout is not None or stop is not None):
+                deadline = (None if timeout is None
+                            else time.monotonic() + timeout)
+                counted = getattr(self._tls, "counted", False)
+                if counted:
+                    self._busy -= 1
+                    self._settled()
+                while not inbox and not (stop is not None and stop.is_set()):
+                    remaining = (None if deadline is None
+                                 else deadline - time.monotonic())
+                    if remaining is not None and remaining <= 0:
+                        break
+                    inbox.ready.wait(remaining)
+                if counted:
+                    self._busy += 1
+            if not inbox or (stop is not None and stop.is_set()):
+                return None
+            envelope = inbox.popleft()
+            self._settled()
+            return envelope
 
     def pending_count(self, node_id: str) -> int:
         with self._lock:
             inbox = self._inboxes.get(node_id)
-        return inbox.qsize() if inbox is not None else 0
+            return len(inbox) if inbox is not None else 0
 
     # -- nemesis operations ---------------------------------------------------------
     def _crosses_cut(self, src: str, dst: str) -> bool:
@@ -284,13 +456,12 @@ class Network:
             self._cuts = {}
             self._delays = {}
             held, self._held = self._held, []
-            inboxes = {e.dst: self._inboxes.get(e.dst) for e in held}
-        for envelope in held:
-            inbox = inboxes[envelope.dst]
-            if inbox is None:
-                self.dead_letters.append(envelope)
-            else:
-                inbox.put(envelope)
+            for envelope in held:
+                inbox = self._inboxes.get(envelope.dst)
+                if inbox is None:
+                    self.dead_letters.append(envelope)
+                else:
+                    self._put(inbox, envelope)
         return len(held)
 
     def held_snapshot(self) -> List[Envelope]:
@@ -308,15 +479,10 @@ class Network:
             inbox = self._inboxes.get(node_id)
             if inbox is None:
                 return 0
-            backlog: List[Envelope] = []
-            while True:
-                try:
-                    backlog.append(inbox.get_nowait())
-                except queue.Empty:
-                    break
+            backlog = list(inbox)
             rng.shuffle(backlog)
-            for envelope in backlog:
-                inbox.put(envelope)
+            inbox.clear()
+            inbox.extend(backlog)
             self.reorder_count += 1
         return len(backlog)
 
@@ -330,21 +496,14 @@ class Network:
         """
         with self._lock:
             inbox = self._inboxes.get(node_id)
-            if inbox is None:
+            if not inbox:
                 return None
-            backlog: List[Envelope] = []
-            while True:
-                try:
-                    backlog.append(inbox.get_nowait())
-                except queue.Empty:
-                    break
-            if not backlog:
-                return None
-            victim = backlog.pop(rng.randrange(len(backlog)))
-            for envelope in backlog:
-                inbox.put(envelope)
+            index = rng.randrange(len(inbox))
+            victim = inbox[index]
+            del inbox[index]
             self.corrupt_count += 1
             self.corrupted.append(victim)
+            self._settled()
         return victim
 
     # -- synchronous RPC ------------------------------------------------------------

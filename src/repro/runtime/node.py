@@ -3,9 +3,15 @@
 A :class:`Node` is one process of the pseudo-distributed cluster.  It
 owns worker threads (e.g. an inbox loop), a persistent store, and the
 per-node shadow state Mocket's instrumentation writes into.  Crashing a
-node sets its stop event; any instrumentation hook blocked on the
-Mocket testbed observes the event and unwinds via
-:class:`NodeCrashed`, exactly like killing a JVM tears down its threads.
+node sets its stop event and wakes every thread the node has parked
+(:meth:`Node.halt`); an instrumentation hook blocked on the Mocket
+testbed unwinds via :class:`NodeCrashed`, exactly like killing a JVM
+tears down its threads.
+
+Node threads are counted by the cluster's quiescence monitor
+(:class:`~repro.runtime.network.Network`): :meth:`Node.spawn` credits a
+thread before starting it, and a thread leaves the count only where it
+blocks in :meth:`Node.wait_or_crash` or :meth:`Node.serve_inbox`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
+from .network import Envelope
 from .storage import PersistentStore
 
 __all__ = ["Node", "NodeCrashed"]
@@ -30,6 +37,9 @@ class Node:
     the shadow copies of annotated variables — the analogue of the
     ``Mocket$x`` fields the paper's instrumentation adds.
     """
+
+    #: upper bound on one thread's wind-down; a woken thread exits at once
+    JOIN_TIMEOUT = 5.0
 
     def __init__(self, node_id: str, cluster: "Any"):
         self.node_id = node_id
@@ -64,17 +74,28 @@ class Node:
 
     def stop(self) -> None:
         """Stop the node and join its threads (crash or teardown)."""
+        self.halt()
+        self.join()
+
+    def halt(self) -> None:
+        """Signal the stop without waiting: set the stop event and wake
+        every thread this node has parked (hook blocks, RPC waits, the
+        blocking receive).  ``Cluster.shutdown`` halts every node before
+        joining any, so the nodes wind down side by side."""
         if not self.started:
             return
         self.started = False
-        self._stop_event.set()
+        self.network.halt(self._stop_event)
         self.on_stop()
         runtime = getattr(self.cluster, "mocket_runtime", None)
         if runtime is not None:
             runtime.node_stopping(self)
+
+    def join(self) -> None:
+        """Wait for a halted node's threads to exit."""
         for thread in self._threads:
             if thread is not threading.current_thread():
-                thread.join(timeout=5.0)
+                thread.join(self.JOIN_TIMEOUT)
         self._threads.clear()
 
     def on_start(self) -> None:  # pragma: no cover - overridden
@@ -98,11 +119,13 @@ class Node:
             except NodeCrashed:
                 pass
 
+        dying = self._stop_event.is_set()
         thread = threading.Thread(
-            target=runner, name=name or f"{self.node_id}-worker", daemon=True
+            target=runner if dying else self.network.counted(runner),
+            name=name or f"{self.node_id}-worker", daemon=True
         )
-        if self._stop_event.is_set():
-            return thread  # node is dying: never start new work
+        if dying:
+            return thread  # node is dying: never start (or count) new work
         thread.start()
         self._threads.append(thread)
         return thread
@@ -126,20 +149,32 @@ class Node:
         if self._stop_event.is_set():
             raise NodeCrashed(self.node_id)
 
-    def wait_or_crash(self, event: threading.Event, poll: float = 0.01,
+    def wait_or_crash(self, event: threading.Event,
                       timeout: Optional[float] = None) -> bool:
-        """Block on ``event``, aborting with :class:`NodeCrashed` on stop.
+        """Park on ``event``, aborting with :class:`NodeCrashed` on stop.
 
-        Returns True when the event fired, False on timeout.
+        Returns True when the event fired, False on timeout.  Fire the
+        event with ``network.wake(event)`` so the parked thread is back
+        in the quiescence count before it runs.
         """
-        waited = 0.0
-        while True:
-            if event.wait(poll):
-                return True
-            self.check_alive()
-            waited += poll
-            if timeout is not None and waited >= timeout:
-                return False
+        fired = self.network.park(event, timeout, stop=self._stop_event)
+        self.check_alive()
+        return fired
+
+    def serve_inbox(self, handle: Callable[[Envelope], None]) -> None:
+        """The inbox loop: block in ``receive`` and pass each envelope
+        to ``handle`` until the node stops.  A message dequeued as the
+        node dies goes back to the mailbox — it is still in flight."""
+        while not self.stopping:
+            envelope = self.network.receive(self.node_id,
+                                            stop=self._stop_event)
+            if envelope is None:
+                continue
+            if self.stopping:
+                self.network.redeliver(self.node_id, envelope.payload,
+                                       src=envelope.src)
+                break
+            handle(envelope)
 
     # -- convenience ---------------------------------------------------------------
     @property

@@ -76,7 +76,7 @@ class SimNetwork(Network):
                 if inbox is None:
                     self.dead_letters.append(envelope)
                     return
-                inbox.put(envelope)
+                inbox.append(envelope)
                 return
         self.delivered_count += 1
         handler(envelope)
@@ -93,8 +93,8 @@ class SimNetwork(Network):
             self._handlers[node_id] = handler
             inbox = self._inboxes.get(node_id)
             if inbox is not None:
-                while not inbox.empty():
-                    backlog.append(inbox.get_nowait())
+                backlog.extend(inbox)
+                inbox.clear()
         for envelope in backlog:
             self.scheduler.call_soon(self._deliver, envelope)
         return len(backlog)

@@ -29,7 +29,7 @@ __all__ = ["BARE_MODELS", "MODELS", "RUNNER", "TARGETS", "Target",
            "UnknownName", "get_model", "get_target", "kit",
            "spec_and_mapping"]
 
-#: the testbed timeouts every CLI verb runs the bundled systems under
+#: the testbed's upper bounds every CLI verb runs the bundled systems under
 RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 

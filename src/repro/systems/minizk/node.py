@@ -84,19 +84,13 @@ class MiniZkNode(Node):
         if self.failed:
             return  # the process exited during startup
         self.network.register(self.node_id)
-        self.spawn(self._inbox_loop, name=f"{self.node_id}-inbox")
+        self.spawn(lambda: self.serve_inbox(self._on_mail),
+                   name=f"{self.node_id}-inbox")
 
-    def _inbox_loop(self) -> None:
-        while not self.stopping:
-            envelope = self.network.receive(self.node_id, timeout=0.02)
-            if envelope is None:
-                continue
-            payload = envelope.payload
-            if self.stopping:
-                self.network.redeliver(self.node_id, payload, src=envelope.src)
-                break
-            self.spawn(lambda p=payload: self._dispatch_safe(p),
-                       name=f"{self.node_id}-handle-{payload.get('type')}")
+    def _on_mail(self, envelope) -> None:
+        payload = envelope.payload
+        self.spawn(lambda: self._dispatch_safe(payload),
+                   name=f"{self.node_id}-handle-{payload.get('type')}")
 
     def _dispatch_safe(self, payload: Dict[str, Any]) -> None:
         try:

@@ -114,32 +114,28 @@ class RaftKvNode(Node):
     # -- lifecycle --------------------------------------------------------------
     def on_start(self) -> None:
         self.network.register(self.node_id)
-        self.spawn(self._inbox_loop, name=f"{self.node_id}-inbox")
+        self.spawn(lambda: self.serve_inbox(self._on_mail),
+                   name=f"{self.node_id}-inbox")
 
-    def _inbox_loop(self) -> None:
-        while not self.stopping:
-            envelope = self.network.receive(self.node_id, timeout=0.02)
-            if envelope is None:
-                continue
-            payload = envelope.payload
-            if self.stopping:
-                # dequeued during shutdown: the message is still in flight
-                self.network.redeliver(self.node_id, payload, src=envelope.src)
-                break
-            if payload.get("kind") == "reply":
-                waiter = self._waiters.pop(payload["rpc_id"], None)
-                if waiter is not None:
-                    waiter.reply = payload["body"]
-                    waiter.event.set()
-                else:
-                    # Orphaned reply: the caller that issued the RPC is gone
-                    # (typically a restart).  The response is still in
-                    # flight protocol-wise, so hand it to the handler.
-                    self.spawn(lambda p=payload: self._deliver_reply_safe(p["body"]),
-                               name=f"{self.node_id}-orphan-reply")
-                continue
-            self.spawn(lambda p=payload: self._serve_safe(p),
+    def _on_mail(self, envelope) -> None:
+        """Requests get a serving thread; replies go to the caller
+        blocked in :meth:`_call_async`."""
+        payload = envelope.payload
+        if payload.get("kind") != "reply":
+            self.spawn(lambda: self._serve_safe(payload),
                        name=f"{self.node_id}-serve")
+            return
+        waiter = self._waiters.pop(payload["rpc_id"], None)
+        if waiter is not None:
+            waiter.reply = payload["body"]
+            # credit the parked caller before it wakes
+            self.network.wake(waiter.event)
+        else:
+            # Orphaned reply: the caller that issued the RPC is gone
+            # (typically a restart).  The response is still in
+            # flight protocol-wise, so hand it to the handler.
+            self.spawn(lambda: self._deliver_reply_safe(payload["body"]),
+                       name=f"{self.node_id}-orphan-reply")
 
     def _deliver_reply_safe(self, reply: Dict[str, Any]) -> None:
         """Route a reply to its handler; re-mailbox it if the node dies
@@ -259,15 +255,14 @@ class RaftKvNode(Node):
         })
 
         def wait() -> Optional[Dict[str, Any]]:
-            waited = 0.0
-            while waited < self.RPC_TIMEOUT:
-                if waiter.event.wait(0.01):
-                    return waiter.reply
-                if self.stopping:
-                    break
-                waited += 0.01
+            try:
+                self.wait_or_crash(waiter.event, timeout=self.RPC_TIMEOUT)
+            except NodeCrashed:
+                # a reply that raced the stop is still returned below:
+                # _deliver_reply_safe re-mailboxes it, nothing is lost
+                pass
             self._waiters.pop(rpc_id, None)
-            return None
+            return waiter.reply
 
         return wait
 

@@ -204,6 +204,7 @@ class ModelChecker:
                                                 level=level + 1)
                                 complete = False
                                 refused += 1
+                                graph.refused_ids.add(node_id)
                                 continue
                             raise CheckingBudgetExceeded(graph.num_states, self.max_states)
                         succ_id = graph.add_state(successor)

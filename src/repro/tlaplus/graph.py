@@ -59,6 +59,9 @@ class StateGraph:
         self._edge_keys: Set[Tuple[int, int, ActionLabel]] = set()
         self._edges: List[Edge] = []
         self.initial_ids: List[int] = []
+        # states the checker could not fully expand under its
+        # ``max_states`` budget: their enabled set here is incomplete
+        self.refused_ids: Set[int] = set()
 
     # -- construction -----------------------------------------------------------
     def add_state(self, state: State, initial: bool = False) -> int:

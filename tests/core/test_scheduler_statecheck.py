@@ -46,7 +46,7 @@ class TestScheduler:
 
     def test_enable_sets_directive(self):
         notif = Notification("n1", "Act", {})
-        ActionScheduler.enable(notif, "drop")
+        ActionScheduler().enable(notif, "drop")
         assert notif.enable_event.is_set()
         assert notif.directive == "drop"
 

@@ -132,3 +132,69 @@ class TestFaultSpans:
         assert result.passed, result.divergence
         faults = TRACER.events("fault.injected")
         assert faults and faults[0].fields["action"] == "Restart"
+
+
+class TestQuiescenceSpans:
+    """One ``runner.quiesce`` span per completed case; an idle verdict
+    leaves an event and bumps ``testbed.idle_verdicts``."""
+
+    def _toycache(self, **bugs):
+        from repro.systems.toycache import (
+            ToyCacheConfig, build_toycache_mapping, make_toycache_cluster)
+
+        graph = check(build_example_spec()).graph
+        suite = generate_test_cases(graph, por=False)
+        tester = ControlledTester(
+            build_toycache_mapping(), graph,
+            lambda: make_toycache_cluster(ToyCacheConfig(**bugs)), RUNNER)
+        return tester, suite
+
+    def test_clean_cases_end_on_the_condition_not_the_bound(self):
+        tester, suite = self._toycache()
+        TRACER.configure(enabled=True)
+        assert tester.run_suite(suite).passed
+        spans = TRACER.events("runner.quiesce")
+        assert [e.fields["case"] for e in spans] == [c.case_id for c in suite]
+        assert all(e.kind == "span" and e.fields["timed_out"] is False
+                   and 0 <= e.fields["waited_s"] < RUNNER.quiesce_delay
+                   for e in spans)
+        assert "testbed.idle_verdicts" not in METRICS.snapshot()
+        digest = TraceReader(TRACER.events()).summarize(max_cases=0)
+        assert (f"quiescence: {len(suite)} end-of-case waits, " in digest
+                and "0 ended on the bound; 0 idle verdicts" in digest)
+
+    def test_thread_outside_a_park_point_shows_as_timed_out(self):
+        import time
+
+        from repro.systems.toycache import CacheServer
+
+        tester, suite = self._toycache()
+        respond = CacheServer.respond
+
+        def respond_then_linger(self):
+            respond(self)
+            self.spawn(lambda: time.sleep(4 * RUNNER.quiesce_delay))
+
+        CacheServer.respond = respond_then_linger
+        try:
+            TRACER.configure(enabled=True)
+            assert tester.run_case(suite[0]).passed
+        finally:
+            CacheServer.respond = respond
+        (span,) = TRACER.events("runner.quiesce")
+        assert span.fields["timed_out"] is True
+        assert span.fields["waited_s"] >= RUNNER.quiesce_delay
+
+    def test_idle_verdicts_are_counted_and_summarized(self):
+        tester, suite = self._toycache(bug_forget_respond=True)
+        TRACER.configure(enabled=True)
+        outcome = tester.run_suite(suite)
+        assert all(r.divergence.kind is DivergenceKind.MISSING_ACTION
+                   for r in outcome.results)
+        assert METRICS.snapshot()["testbed.idle_verdicts"] == len(suite)
+        assert len(TRACER.events("testbed.idle_verdict")) == len(suite)
+        reader = TraceReader(TRACER.events())
+        assert f"{len(suite)} idle verdicts" in reader.summarize(max_cases=0)
+        assert reader.summary_dict()["quiescence"] == {
+            "waits": 0, "waited_s": 0.0, "timed_out": 0,
+            "idle_verdicts": len(suite)}
