@@ -1,0 +1,93 @@
+"""cProfile of the cold path: check -> testgen on one catalog model.
+
+Runs what one ``explore-ladder`` rung of the pipeline benchmark runs —
+``check``, the static independence certificates, the POR suite and the
+PathEC suite — under ``cProfile`` and prints, per model, the stage wall
+times (unprofiled, best of ``--repeats``), the check rate, and the
+profile's top functions by internal time.  The committed before/after
+listings in ``benchmarks/profiles/`` were produced by this script.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/profile_cold_path.py [MODEL ...] [--top 20]
+
+``MODEL`` names a catalog model (``mocket check`` accepts the same
+names); the default is ``xraft zab``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import io
+import os
+import platform
+import pstats
+import sys
+import time
+
+from repro.analysis.effects import analyze_spec
+from repro.core import generate_test_cases
+from repro.systems.catalog import get_model
+from repro.tlaplus import check
+
+
+def rung(spec) -> dict:
+    """One rung; returns the stage wall times."""
+    times = {}
+    start = time.perf_counter()
+    graph = check(spec).graph
+    times["check_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    independence = analyze_spec(spec).independence()
+    times["independence_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    por = generate_test_cases(graph, por=True, seed=0,
+                              independence=independence)
+    times["por_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    pathec = generate_test_cases(graph, por=False)
+    times["pathec_s"] = time.perf_counter() - start
+    times.update(states=graph.num_states, edges=graph.num_edges,
+                 por_actions=por.total_actions(),
+                 pathec_actions=pathec.total_actions())
+    return times
+
+
+def profile_model(name: str, top: int, repeats: int) -> str:
+    build = get_model(name)
+    runs = [rung(build()) for _ in range(repeats)]
+    best = {key: min(run[key] for run in runs) for key in runs[0]}
+    profiler = cProfile.Profile()
+    profiler.enable()
+    rung(build())
+    profiler.disable()
+    out = io.StringIO()
+    out.write(f"== {name}: {best['states']} states, {best['edges']} edges; "
+              f"POR {best['por_actions']} / PathEC {best['pathec_actions']} "
+              f"actions\n")
+    out.write("   " + ", ".join(
+        f"{key} {best[key]:.3f}" for key in
+        ("check_s", "independence_s", "por_s", "pathec_s")))
+    out.write(f"; check {best['states'] / best['check_s']:,.0f} states/s "
+              f"(best of {repeats}, unprofiled)\n")
+    stats = pstats.Stats(profiler, stream=out).strip_dirs()
+    stats.sort_stats("tottime").print_stats(top)
+    return out.getvalue()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("models", nargs="*", default=["xraft", "zab"])
+    parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    print(f"python {platform.python_version()}, {platform.system()} "
+          f"{platform.machine()}, {os.cpu_count()} CPUs")
+    for name in args.models:
+        print(profile_model(name, args.top, args.repeats))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,6 @@ from ..core.mapping import SpecMapping
 from ..engine import canonicalize
 from ..obs import METRICS, TRACER
 from ..obs.tracer import jsonable
-from ..engine.fingerprint import encode_canonical
 from ..tlaplus.graph import StateGraph
 from .adapters import LogAdapter, LogEvent, get_adapter
 from .report import ConformanceReport, LogDivergence, NearMiss
@@ -80,15 +79,12 @@ class ConformanceMonitor:
         self.mapping = mapping
         self.spec_name = self.graph.spec_name
         # per-state action index: name -> [(jsonable params, dst)], in
-        # canonical (encoded-params, dst) order
+        # canonical (encoded-params, dst) order — the order canonicalize
+        # inserts each state's out-edges in
         self._index: List[Dict[str, List[Tuple[Dict[str, Any], int]]]] = []
         for node_id in range(self.graph.num_states):
             by_name: Dict[str, List[Tuple[Dict[str, Any], int]]] = {}
-            edges = sorted(
-                self.graph.out_edges(node_id),
-                key=lambda e: (e.label.name, encode_canonical(e.label.params),
-                               e.dst))
-            for edge in edges:
+            for edge in self.graph.out_edges(node_id):
                 by_name.setdefault(edge.label.name, []).append(
                     (jsonable(edge.label.params), edge.dst))
             self._index.append(by_name)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ...tlaplus.spec import ActionKind, Specification, VarKind
-from ...tlaplus.values import FrozenDict, freeze
+from ...tlaplus.values import SCALAR_TYPES, FrozenDict, freeze
 from .kinds import FaultKind, MessageCheckMode, TriggerKind
 
 __all__ = [
@@ -198,7 +198,9 @@ class SpecMapping:
                 return self._impl_to_const[value]
         except TypeError:
             pass  # unhashable: recurse below
-        if isinstance(value, Mapping):
+        if type(value) in SCALAR_TYPES:
+            return value
+        if isinstance(value, (dict, FrozenDict)) or isinstance(value, Mapping):
             return {self._translate(k): self._translate(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
             return tuple(self._translate(v) for v in value)

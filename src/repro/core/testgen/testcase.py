@@ -41,7 +41,13 @@ class TestStep:
 
 
 class TestCase:
-    """An executable test case: initial state + action/state sequence."""
+    """An executable test case: initial state + action/state sequence.
+
+    A case generated from the verified graph (:meth:`from_edges`) is
+    just its edge path over the shared :class:`StateGraph`; ``steps``
+    are materialised from the graph on first access.  A case crosses a
+    process boundary (pickling) as its steps, never with the graph.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -50,7 +56,10 @@ class TestCase:
         self.case_id = case_id
         self.initial_state = initial_state
         self.initial_id = initial_id
-        self.steps: List[TestStep] = list(steps)
+        self._steps: Optional[List[TestStep]] = list(steps)
+        # the unmaterialised form: an edge path over a shared graph
+        self._graph: Optional[StateGraph] = None
+        self._path: Sequence[Edge] = ()
 
     @classmethod
     def from_edges(cls, case_id: int, graph: StateGraph, edges: Sequence[Edge]) -> "TestCase":
@@ -62,19 +71,33 @@ class TestCase:
             raise ValueError(
                 f"test case must start from an initial state, got node {initial_id}"
             )
-        steps = []
         previous = initial_id
         for edge in edges:
             if edge.src != previous:
                 raise ValueError(f"edge path is not contiguous at {edge!r}")
-            steps.append(TestStep(edge.label, graph.state_of(edge.dst),
-                                  src_id=edge.src, dst_id=edge.dst))
             previous = edge.dst
-        return cls(case_id, graph.state_of(initial_id), steps, initial_id=initial_id)
+        case = cls(case_id, graph.state_of(initial_id), (), initial_id=initial_id)
+        case._steps, case._graph, case._path = None, graph, tuple(edges)
+        return case
+
+    @property
+    def steps(self) -> List[TestStep]:
+        """The scheduled actions with their expected states."""
+        if self._steps is None:
+            state_of = self._graph.state_of
+            self._steps = [TestStep(edge.label, state_of(edge.dst),
+                                    src_id=edge.src, dst_id=edge.dst)
+                           for edge in self._path]
+            self._graph, self._path = None, ()
+        return self._steps
+
+    def __getstate__(self) -> Dict[str, Any]:
+        steps = self.steps  # materialising lets go of the graph
+        return dict(self.__dict__, _steps=steps)
 
     # -- queries ----------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._path) if self._steps is None else len(self._steps)
 
     def __iter__(self) -> Iterator[TestStep]:
         return iter(self.steps)
@@ -87,11 +110,15 @@ class TestCase:
 
     @property
     def final_state(self) -> State:
-        return self.steps[-1].expected_state if self.steps else self.initial_state
+        if self._steps is None:
+            return self._graph.state_of(self.final_id)
+        return self._steps[-1].expected_state if self._steps else self.initial_state
 
     @property
     def final_id(self) -> int:
-        return self.steps[-1].dst_id if self.steps else self.initial_id
+        if self._steps is None:
+            return self._path[-1].dst
+        return self._steps[-1].dst_id if self._steps else self.initial_id
 
     def describe(self) -> str:
         """A one-line schedule summary: ``s0 -> A -> s1 -> B -> s2``."""

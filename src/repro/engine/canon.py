@@ -37,26 +37,32 @@ from .fingerprint import canonical_state, canonical_value, encode_canonical
 __all__ = ["canonical_signature", "canonicalize", "graphs_equivalent"]
 
 
-def _state_key(graph: StateGraph, node_id: int) -> bytes:
-    return encode_canonical(graph.state_of(node_id)._vars)
-
-
-def _edge_key(graph: StateGraph, edge: Edge) -> Tuple[str, bytes, bytes]:
-    return (edge.label.name, encode_canonical(edge.label.params),
-            _state_key(graph, edge.dst))
-
-
 def canonicalize(graph: StateGraph) -> StateGraph:
     """Return a renumbered copy of ``graph`` independent of discovery order."""
     order: List[int] = []          # old ids in canonical visit order
     assigned: Dict[int, int] = {}  # old id -> canonical id
+    # encode each state and each label object once, not once per edge.
+    # Labels are keyed by identity: equal labels may still encode
+    # differently (``1 == True``), and the checker shares one label
+    # object among all the edges of a constant-domain binding anyway
+    state_keys = [encode_canonical(state._vars) for _, state in graph.states()]
+    labels: Dict[int, Tuple[bytes, ActionLabel]] = {}
+    for edge in graph.edges():
+        label = edge.label
+        if id(label) not in labels:
+            labels[id(label)] = (encode_canonical(label.params), ActionLabel(
+                label.name, dict(canonical_value(label.params))))
+
+    def edge_key(edge: Edge) -> Tuple[str, bytes, bytes]:
+        return (edge.label.name, labels[id(edge.label)][0],
+                state_keys[edge.dst])
 
     def visit(old_id: int) -> None:
         assigned[old_id] = len(order)
         order.append(old_id)
 
     queue: List[int] = []
-    for old_id in sorted(graph.initial_ids, key=lambda n: _state_key(graph, n)):
+    for old_id in sorted(graph.initial_ids, key=state_keys.__getitem__):
         if old_id not in assigned:
             visit(old_id)
             queue.append(old_id)
@@ -64,14 +70,13 @@ def canonicalize(graph: StateGraph) -> StateGraph:
     while cursor < len(queue):
         old_id = queue[cursor]
         cursor += 1
-        for edge in sorted(graph.out_edges(old_id),
-                           key=lambda e: _edge_key(graph, e)):
+        for edge in sorted(graph.out_edges(old_id), key=edge_key):
             if edge.dst not in assigned:
                 visit(edge.dst)
                 queue.append(edge.dst)
     # hand-built graphs may hold states unreachable from Init
     leftovers = [n for n, _ in graph.states() if n not in assigned]
-    for old_id in sorted(leftovers, key=lambda n: _state_key(graph, n)):
+    for old_id in sorted(leftovers, key=state_keys.__getitem__):
         visit(old_id)
 
     canonical = StateGraph(graph.spec_name)
@@ -83,12 +88,11 @@ def canonicalize(graph: StateGraph) -> StateGraph:
         canonical.add_state(canonical_state(graph.state_of(old_id)),
                             initial=old_id in initial)
     renumbered = sorted(
-        ((assigned[e.src], e.label.name, encode_canonical(e.label.params),
+        ((assigned[e.src], e.label.name, labels[id(e.label)][0],
           assigned[e.dst], e.label) for e in graph.edges()),
     )
     for src, _name, _params, dst, label in renumbered:
-        canonical.add_edge(
-            src, dst, ActionLabel(label.name, dict(canonical_value(label.params))))
+        canonical.add_edge(src, dst, labels[id(label)][1])
     canonical.refused_ids = {assigned[n] for n in graph.refused_ids}
     return canonical
 

@@ -150,6 +150,9 @@ class ModelChecker:
         # hot path: sample the flag once; a run is all-or-nothing traced
         tracing = TRACER.enabled
         snapshots = self._snapshots
+        # hot path: bound once, called per binding / per new state
+        enabled = self.spec.enabled
+        check_invariants = self.spec.check_invariants
         violation: Optional[InvariantViolation] = None
         complete = True
         refused = 0
@@ -172,9 +175,10 @@ class ModelChecker:
                 if node_id not in parents:
                     parents[node_id] = None
                     frontier.append(node_id)
-                    found = self._check_state(graph, parents, node_id)
-                    if found is not None:
-                        violation = violation or found
+                    inv_name = check_invariants(state)
+                    if inv_name is not None:
+                        violation = violation or self._violation(
+                            graph, parents, node_id, inv_name)
                         if self.stop_on_violation:
                             return self._finish(graph, start, False, level,
                                                 violation, refused)
@@ -189,7 +193,7 @@ class ModelChecker:
             next_frontier: List[int] = []
             for node_id in frontier:
                 state = graph.state_of(node_id)
-                for label, successor in self.spec.enabled(state):
+                for label, successor in enabled(state):
                     succ_id = graph.id_of(successor)
                     is_new = succ_id is None
                     if is_new:
@@ -212,9 +216,10 @@ class ModelChecker:
                     if is_new:
                         parents[succ_id] = (node_id, label)
                         next_frontier.append(succ_id)
-                        found = self._check_state(graph, parents, succ_id)
-                        if found is not None:
-                            violation = violation or found
+                        inv_name = check_invariants(successor)
+                        if inv_name is not None:
+                            violation = violation or self._violation(
+                                graph, parents, succ_id, inv_name)
                             if self.stop_on_violation:
                                 return self._finish(graph, start, False,
                                                     level + 1, violation,
@@ -232,12 +237,6 @@ class ModelChecker:
         return self._finish(graph, start, complete, level, violation, refused)
 
     # -- helpers -------------------------------------------------------------
-    def _check_state(self, graph, parents, node_id) -> Optional[InvariantViolation]:
-        inv_name = self.spec.check_invariants(graph.state_of(node_id))
-        if inv_name is None:
-            return None
-        return self._violation(graph, parents, node_id, inv_name)
-
     def _violation(self, graph, parents, node_id, inv_name) -> InvariantViolation:
         return InvariantViolation(
             inv_name, graph.state_of(node_id), self.trace_to(graph, parents, node_id)

@@ -80,6 +80,9 @@ def from_constant(name: str) -> Domain:
     def domain(state: State, const: Mapping[str, Any]) -> Iterable[Any]:
         return const[name]
 
+    # state-independent: the spec resolves it once into the action's
+    # binding table instead of calling it per state
+    domain.constant = name  # type: ignore[attr-defined]
     return domain
 
 
@@ -140,26 +143,47 @@ class ActionDecl:
         self.file: Optional[str] = code.co_filename if code else None
         self.line: Optional[int] = code.co_firstlineno if code else None
 
-    def domains(self, state: State, const: Mapping[str, Any]) -> List[Tuple[str, List[Any]]]:
-        """Evaluate every parameter domain against the current state."""
-        evaluated = []
-        for pname, domain in self.params.items():
-            values = domain(state, const) if callable(domain) else domain
-            evaluated.append((pname, list(values)))
-        return evaluated
-
-    def bindings(self, state: State, const: Mapping[str, Any]) -> Iterator[Dict[str, Any]]:
-        """Yield every parameter binding (cartesian product of the domains)."""
-        evaluated = self.domains(state, const)
-        if not evaluated:
-            yield {}
-            return
-        names = [pname for pname, _ in evaluated]
-        for combo in itertools.product(*(values for _, values in evaluated)):
-            yield dict(zip(names, combo))
-
     def __repr__(self) -> str:
         return f"ActionDecl({self.name!r}, kind={self.kind.value})"
+
+
+class _BindingTable:
+    """One action's parameter bindings, resolved as far as the constants allow.
+
+    Static and ``from_constant`` domains do not depend on the state, so
+    they are listed once.  When no domain does, ``rows`` is the whole
+    table: every ``(binding, label)`` pair in emission order, each label
+    built once and shared by every edge it labels.  ``in_flight`` and
+    other callable domains are evaluated per state, and their rows carry
+    no label (``None``) until the binding turns out to be enabled.
+    """
+
+    __slots__ = ("names", "domains", "rows")
+
+    def __init__(self, decl: ActionDecl, const: Mapping[str, Any]):
+        self.names = tuple(decl.params)
+        self.domains: List[Any] = []
+        for domain in decl.params.values():
+            if hasattr(domain, "constant"):
+                domain = const[domain.constant]
+            self.domains.append(domain if callable(domain) else list(domain))
+        self.rows: Optional[List[Tuple[Dict[str, Any], Optional[ActionLabel]]]] = None
+        if not any(callable(domain) for domain in self.domains):
+            self.rows = [(binding, ActionLabel(decl.name, binding))
+                         for binding in self._product(self.domains)]
+
+    def _product(self, domains: List[Iterable[Any]]) -> List[Dict[str, Any]]:
+        """Every binding, the cartesian product of the domains in order."""
+        return [dict(zip(self.names, combo))
+                for combo in itertools.product(*domains)]
+
+    def bindings(self, state: State, const: Mapping[str, Any]
+                 ) -> List[Tuple[Dict[str, Any], Optional[ActionLabel]]]:
+        if self.rows is not None:
+            return self.rows
+        return [(binding, None) for binding in self._product(
+            [domain(state, const) if callable(domain) else domain
+             for domain in self.domains])]
 
 
 class Specification:
@@ -174,6 +198,9 @@ class Specification:
         self.actions: Dict[str, ActionDecl] = {}
         self.invariants: Dict[str, Callable[[State, Mapping[str, Any]], bool]] = {}
         self._init_fn: Optional[Callable[..., Any]] = None
+        # per-action binding tables and the constants they were derived from
+        self._tables: Optional[List[Tuple[ActionDecl, _BindingTable]]] = None
+        self._tables_constants: Dict[str, Any] = {}
 
     # -- declaration -----------------------------------------------------------
     def add_variable(
@@ -239,6 +266,7 @@ class Specification:
                 message_var=message_var,
                 doc=fn.__doc__ or "",
             )
+            self._tables = None
             return fn
 
         return decorator
@@ -283,8 +311,8 @@ class Specification:
             raise ActionError(f"action {decl.name!r} raised {exc!r} on {state!r}") from exc
         if updates is None:
             return None
-        extra = set(updates) - set(self.variables)
-        if extra:
+        if not updates.keys() <= self.variables.keys():
+            extra = set(updates) - set(self.variables)
             raise ActionError(
                 f"action {decl.name!r} assigned undeclared variables: {sorted(extra)}"
             )
@@ -296,11 +324,25 @@ class Specification:
         This is the ``Next`` relation TLC iterates: all actions, all
         parameter bindings, skipping bindings whose precondition fails.
         """
-        for decl in self.actions.values():
-            for binding in decl.bindings(state, self.constants):
+        const = self.constants
+        for decl, table in self._binding_tables():
+            for binding, label in table.bindings(state, const):
                 successor = self.apply(decl, state, binding)
                 if successor is not None:
-                    yield ActionLabel(decl.name, binding), successor
+                    if label is None:
+                        label = ActionLabel(decl.name, binding)
+                    yield label, successor
+
+    def _binding_tables(self) -> List[Tuple[ActionDecl, _BindingTable]]:
+        """The per-action binding tables, re-derived whenever a constant
+        was rebound since they were built (``specs/raft.py`` adds its
+        budget constants after construction), so no stale binding is
+        ever served."""
+        if self._tables is None or self._tables_constants != self.constants:
+            self._tables_constants = dict(self.constants)
+            self._tables = [(decl, _BindingTable(decl, self.constants))
+                            for decl in self.actions.values()]
+        return self._tables
 
     def check_invariants(self, state: State) -> Optional[str]:
         """Return the name of the first violated invariant, or None."""

@@ -21,21 +21,34 @@ class State:
     Actions read variables as attributes (``state.currentTerm``) to stay
     close to the TLA+ source they transcribe.  States hash and compare
     structurally, which is what lets the checker deduplicate them.
+
+    The instance ``__dict__`` *is* the variable mapping's dict, so a
+    variable read is a plain attribute lookup; this is also why a
+    variable may not take the name of a ``State`` method.
     """
 
-    __slots__ = ("_vars", "_hash")
+    __slots__ = ("_vars", "_hash", "__dict__")
 
     def __init__(self, variables: Mapping[str, Any]):
         frozen = FrozenDict({name: freeze(value) for name, value in variables.items()})
+        shadowed = _METHODS.intersection(frozen)
+        if shadowed:
+            raise ValueError(f"variable name(s) {sorted(shadowed)} would "
+                             f"shadow State methods")
+        self._bind(frozen)
+
+    def _bind(self, frozen: FrozenDict) -> None:
         object.__setattr__(self, "_vars", frozen)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "__dict__", frozen._data)
 
     # -- access ---------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
-        try:
-            return self._vars[name]
-        except KeyError:
-            raise AttributeError(f"state has no variable {name!r}") from None
+        # only reached when no variable of that name exists
+        raise AttributeError(f"state has no variable {name!r}")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("State is immutable")
 
     def __getitem__(self, name: str) -> Any:
         return self._vars[name]
@@ -63,16 +76,20 @@ class State:
         """Return the successor state; variables absent from ``updates`` are UNCHANGED."""
         if not updates:
             return self
-        merged = dict(self._vars)
+        merged = dict(self.__dict__)
         for name, value in updates.items():
             if name not in merged:
                 raise KeyError(f"action assigned unknown variable {name!r}")
             merged[name] = freeze(value)
-        return State(merged)
+        # every value is frozen now: build the successor without
+        # __init__'s second freeze of each variable
+        successor = object.__new__(State)
+        successor._bind(FrozenDict(merged))
+        return successor
 
     # -- identity -----------------------------------------------------------------
     def __reduce__(self):
-        # default slots pickling recurses through __getattr__; rebuild from
+        # slots pickling would setattr on an immutable object; rebuild from
         # the variable mapping instead (freeze passes frozen values through)
         return (State, (dict(self._vars),))
 
@@ -91,6 +108,9 @@ class State:
     def __repr__(self) -> str:
         body = " /\\ ".join(f"{name}={value!r}" for name, value in self.items())
         return f"State({body})"
+
+
+_METHODS = frozenset(name for name in vars(State) if not name.startswith("_"))
 
 
 class ActionLabel:

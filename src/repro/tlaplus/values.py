@@ -23,6 +23,7 @@ from typing import Any, Dict, Iterator, Tuple
 
 __all__ = [
     "FrozenDict",
+    "SCALAR_TYPES",
     "freeze",
     "thaw",
     "EMPTY_BAG",
@@ -37,13 +38,18 @@ __all__ = [
 ]
 
 
-class FrozenDict(Mapping):
+class FrozenDict:
     """An immutable, hashable mapping with functional update helpers.
 
     ``FrozenDict`` is the workhorse value type of the checker: per-node
     spec variables (``currentTerm``), TLA+ records (messages) and bags
     are all ``FrozenDict`` instances.  Equality and hashing are
     order-insensitive, and ``repr`` is sorted so state dumps are stable.
+
+    It implements the whole ``Mapping`` interface itself and is
+    *registered* as a ``Mapping`` rather than derived from one: an ABC
+    subclass would route every ``isinstance(x, FrozenDict)`` — the
+    value layer's most frequent question — through ``ABCMeta``.
     """
 
     __slots__ = ("_data", "_hash")
@@ -65,6 +71,22 @@ class FrozenDict(Mapping):
 
     def __contains__(self, key: Any) -> bool:
         return key in self._data
+
+    # the Mapping mixins would go through __getitem__ key by key; the
+    # underlying dict is never mutated, so its own views are safe to share
+    def get(self, key: Any, default: Any = None) -> Any:
+        return self._data.get(key, default)
+
+    def keys(self):
+        return self._data.keys()
+
+    def values(self):
+        return self._data.values()
+
+    def items(self):
+        return self._data.items()
+
+    __reversed__ = None  # as for every Mapping: no sequence fallback
 
     # -- Hashing / equality -------------------------------------------------
     def __hash__(self) -> int:
@@ -125,13 +147,19 @@ class FrozenDict(Mapping):
         return self.set(key, fn(self._data[key]))
 
 
+Mapping.register(FrozenDict)
+
+#: exact types of the immutable scalars states are made of
+SCALAR_TYPES = frozenset({type(None), bool, int, float, str, bytes})
+
+
 def freeze(value: Any) -> Any:
     """Recursively convert ``value`` into an immutable, hashable form.
 
     dicts become :class:`FrozenDict`, lists/tuples become tuples, sets
     become frozensets.  Already-hashable leaves pass through unchanged.
     """
-    if isinstance(value, FrozenDict):
+    if type(value) in SCALAR_TYPES or isinstance(value, FrozenDict):
         return value
     if isinstance(value, dict):
         return FrozenDict({freeze(k): freeze(v) for k, v in value.items()})

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.testgen import (
     TestCase,
+    TestSuite,
     diamond_stats,
     edge_coverage_paths,
     find_diamonds,
@@ -198,6 +199,29 @@ class TestTestCase:
         graph = _graph([(0, 1, "A")])
         with pytest.raises(ValueError):
             TestCase.from_edges(0, graph, [])
+
+    def test_steps_materialise_once_on_first_access(self):
+        lookups = []
+
+        class CountingGraph(StateGraph):
+            def state_of(self, node_id):
+                lookups.append(node_id)
+                return super().state_of(node_id)
+
+        graph = CountingGraph("t")
+        for i in range(3):
+            graph.add_state(State({"id": i}), initial=i == 0)
+        graph.add_edge(0, 1, ActionLabel("A"))
+        graph.add_edge(1, 2, ActionLabel("B"))
+        case = TestCase.from_edges(0, graph, [graph.out_edges(0)[0],
+                                              graph.out_edges(1)[0]])
+        suite = TestSuite([case], graph=graph)
+        assert lookups == [0]            # the initial state only
+        assert (len(case), suite.total_actions(), case.final_id) == (2, 2, 2)
+        assert lookups == [0]
+        assert [s.dst_id for s in case.steps] == [1, 2]
+        assert case.steps is case.steps
+        assert lookups == [0, 1, 2]
 
     def test_describe(self):
         graph = _graph([(0, 1, "A")])

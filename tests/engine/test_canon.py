@@ -1,6 +1,7 @@
 """Canonical renumbering: discovery order must not matter."""
 
 from repro.engine import canonical_signature, canonicalize, graphs_equivalent
+from repro.engine.fingerprint import encode_canonical
 from repro.specs import build_example_spec
 from repro.tlaplus import check
 from repro.tlaplus.dot import to_dot
@@ -52,6 +53,14 @@ class TestCanonicalize:
     def test_checker_graph_roundtrip(self):
         graph = check(build_example_spec()).graph
         assert graphs_equivalent(graph, canonicalize(graph))
+
+    def test_out_edges_come_in_canonical_order(self):
+        # the conformance monitor indexes out-edges in this order as-is
+        canonical = canonicalize(check(build_example_spec()).graph)
+        for node_id, _ in canonical.states():
+            keys = [(e.label.name, encode_canonical(e.label.params), e.dst)
+                    for e in canonical.out_edges(node_id)]
+            assert keys == sorted(keys)
 
 
 class TestSignatures:

@@ -218,6 +218,51 @@ class TestSpecification:
         labels = sorted(repr(label) for label, _ in spec.enabled(state))
         assert labels == ["Touch(i='n1')", "Touch(i='n2')"]
 
+    def test_rebound_constant_rederives_binding_table(self):
+        # specs/raft.py writes budget constants after construction; a
+        # table built before the write must not serve stale bindings
+        spec = Specification("param", constants={"Server": ("n1", "n2")})
+        spec.add_variable("last")
+
+        @spec.init
+        def init(const):
+            return {"last": None}
+
+        @spec.action(params={"i": from_constant("Server")})
+        def Touch(state, const, i):
+            return {"last": i}
+
+        (state,) = spec.initial_states()
+        assert [repr(label) for label, _ in spec.enabled(state)] == [
+            "Touch(i='n1')", "Touch(i='n2')"]
+        spec.constants["Server"] = ("n3",)
+        assert [repr(label) for label, _ in spec.enabled(state)] == [
+            "Touch(i='n3')"]
+
+        @spec.action()
+        def Reset(state, const):
+            return {"last": None}
+
+        assert [repr(label) for label, _ in spec.enabled(state)] == [
+            "Touch(i='n3')", "Reset()"]
+
+    def test_constant_domain_labels_are_shared_across_states(self):
+        spec = Specification("shared", constants={"Server": ("n1",)})
+        spec.add_variable("n")
+
+        @spec.init
+        def init(const):
+            return {"n": 0}
+
+        @spec.action(params={"i": from_constant("Server")})
+        def Incr(state, const, i):
+            return {"n": state.n + 1}
+
+        (state,) = spec.initial_states()
+        (first, successor), = spec.enabled(state)
+        (second, _), = spec.enabled(successor)
+        assert first is second
+
     def test_in_flight_domain_deduplicates_bag(self):
         spec = Specification("msgs")
         spec.add_variable("messages", kind=VarKind.MESSAGE)
