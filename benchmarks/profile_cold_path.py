@@ -1,11 +1,14 @@
-"""cProfile of the cold path: check -> testgen on one catalog model.
+"""cProfile of the cold path: check -> testgen -> canon on one catalog model.
 
 Runs what one ``explore-ladder`` rung of the pipeline benchmark runs —
 ``check``, the static independence certificates, the POR suite and the
-PathEC suite — under ``cProfile`` and prints, per model, the stage wall
-times (unprofiled, best of ``--repeats``), the check rate, and the
-profile's top functions by internal time.  The committed before/after
-listings in ``benchmarks/profiles/`` were produced by this script.
+PathEC suite — plus what ``mocket faults|fuzz|conform`` and the
+benchmark's equivalence stage do with a checked graph: ``canonicalize``,
+``to_dot`` and ``graphs_equivalent`` against a second ``check`` of the
+same spec.  It prints, per model, the stage wall times (unprofiled, best
+of ``--repeats``), the check rate, and the profile's top functions by
+internal time.  The committed listings in ``benchmarks/profiles/`` were
+produced by this script.
 
 Usage::
 
@@ -28,26 +31,36 @@ import time
 
 from repro.analysis.effects import analyze_spec
 from repro.core import generate_test_cases
+from repro.engine import canonicalize, graphs_equivalent
 from repro.systems.catalog import get_model
 from repro.tlaplus import check
+from repro.tlaplus.dot import to_dot
+
+#: the stages whose wall times are printed, in pipeline order
+STAGES = ("check_s", "independence_s", "por_s", "pathec_s",
+          "canonicalize_s", "to_dot_s", "equiv_s")
 
 
 def rung(spec) -> dict:
     """One rung; returns the stage wall times."""
     times = {}
-    start = time.perf_counter()
-    graph = check(spec).graph
-    times["check_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    independence = analyze_spec(spec).independence()
-    times["independence_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    por = generate_test_cases(graph, por=True, seed=0,
-                              independence=independence)
-    times["por_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    pathec = generate_test_cases(graph, por=False)
-    times["pathec_s"] = time.perf_counter() - start
+
+    def timed(stage, call):
+        start = time.perf_counter()
+        result = call()
+        times[stage] = time.perf_counter() - start
+        return result
+
+    graph = timed("check_s", lambda: check(spec).graph)
+    independence = timed("independence_s",
+                         lambda: analyze_spec(spec).independence())
+    por = timed("por_s", lambda: generate_test_cases(
+        graph, por=True, seed=0, independence=independence))
+    pathec = timed("pathec_s", lambda: generate_test_cases(graph, por=False))
+    timed("canonicalize_s", lambda: canonicalize(graph))
+    timed("to_dot_s", lambda: to_dot(graph))
+    again = check(spec).graph
+    timed("equiv_s", lambda: graphs_equivalent(graph, again))
     times.update(states=graph.num_states, edges=graph.num_edges,
                  por_actions=por.total_actions(),
                  pathec_actions=pathec.total_actions())
@@ -67,8 +80,7 @@ def profile_model(name: str, top: int, repeats: int) -> str:
               f"POR {best['por_actions']} / PathEC {best['pathec_actions']} "
               f"actions\n")
     out.write("   " + ", ".join(
-        f"{key} {best[key]:.3f}" for key in
-        ("check_s", "independence_s", "por_s", "pathec_s")))
+        f"{key} {best[key]:.3f}" for key in STAGES))
     out.write(f"; check {best['states'] / best['check_s']:,.0f} states/s "
               f"(best of {repeats}, unprofiled)\n")
     stats = pstats.Stats(profiler, stream=out).strip_dirs()

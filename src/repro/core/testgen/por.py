@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...obs import METRICS, TRACER
 from ...tlaplus.graph import Edge, StateGraph
+from ...tlaplus.state import ActionLabel
 
 __all__ = ["Diamond", "find_diamonds", "por_excluded_edges"]
 
@@ -61,104 +62,64 @@ def find_diamonds(graph: StateGraph, independence=None) -> List[Diamond]:
     :class:`repro.analysis.effects.IndependenceRelation`: for action
     pairs it certifies as statically commutative the per-diamond join
     verification is skipped (the disjoint effect footprints already
-    guarantee both interleavings land in the same state), turning the
-    dominant cost of diamond search into a dictionary lookup.  The
-    result is the same diamond list either way — the certificate is a
-    proof, not a heuristic — which the byte-identical suite guard test
-    checks for every bundled target.
+    guarantee both interleavings land in the same state).  The result
+    is the same diamond list either way — the certificate is a proof,
+    not a heuristic — which the byte-identical suite guard test checks
+    for every bundled target.  Both second hops must still *exist*: a
+    truncated graph (depth bound) can cut one interleaving short, and
+    those half-diamonds are skipped.
+
+    Labels are compared as small ints, one per equality class of the
+    graph's labels, ranked by the ``repr`` of each class's first label
+    in edge order; the second hop with a label is the first out-edge
+    carrying it.
     """
-    if independence is None:
-        return _find_diamonds_legacy(graph)
-    return _find_diamonds_static(graph, independence)
+    adjacency = graph.adjacency()
+    classes: Dict[ActionLabel, int] = {}
+    label_class = [classes.setdefault(edge.label, len(classes))
+                   for edge in graph.edges()]    # by edge index
+    texts = [repr(label) for label in classes]   # by class
+    dense = {text: rank for rank, text in enumerate(sorted(set(texts)))}
+    rank = [dense[text] for text in texts]       # by class
+    first_edge: List[Dict[int, Edge]] = []       # by node: class -> out-edge
+    for node_id in range(graph.num_states):
+        index: Dict[int, Edge] = {}
+        for edge in adjacency[node_id]:
+            index.setdefault(label_class[edge.index], edge)
+        first_edge.append(index)
+    certified: Dict[Tuple[str, str], bool] = {}
 
-
-def _find_diamonds_legacy(graph: StateGraph) -> List[Diamond]:
     diamonds: List[Diamond] = []
     for node_id in range(graph.num_states):
-        out = graph.out_edges(node_id)
+        out = adjacency[node_id]
         for i, edge_a in enumerate(out):
-            for edge_b in out[i + 1 :]:
-                if edge_a.label == edge_b.label:
-                    continue
-                if edge_a.dst == edge_b.dst:
+            class_a = label_class[edge_a.index]
+            for j in range(i + 1, len(out)):
+                edge_b = out[j]
+                class_b = label_class[edge_b.index]
+                if class_a == class_b or edge_a.dst == edge_b.dst:
                     continue
                 # order the pair so each diamond is found exactly once
                 first_a, first_b = edge_a, edge_b
-                if repr(first_b.label) < repr(first_a.label):
-                    first_a, first_b = first_b, first_a
-                second_a = _edge_with_label(graph, first_a.dst, first_b.label)
-                second_b = _edge_with_label(graph, first_b.dst, first_a.label)
+                label_a, label_b = class_a, class_b
+                if rank[class_b] < rank[class_a]:
+                    first_a, first_b = edge_b, edge_a
+                    label_a, label_b = class_b, class_a
+                second_a = first_edge[first_a.dst].get(label_b)
+                second_b = first_edge[first_b.dst].get(label_a)
                 if second_a is None or second_b is None:
                     continue
                 if second_a.dst != second_b.dst:
-                    continue
+                    if independence is None:
+                        continue
+                    names = (first_a.label.name, first_b.label.name)
+                    is_certified = certified.get(names)
+                    if is_certified is None:
+                        is_certified = certified[names] = independence.certified(*names)
+                    if not is_certified:
+                        continue
                 diamonds.append(Diamond(node_id, first_a, second_a, first_b, second_b))
     return diamonds
-
-
-def _find_diamonds_static(graph: StateGraph, independence) -> List[Diamond]:
-    """The statically-accelerated diamond search.
-
-    Semantically identical to the legacy nested loop (same iteration
-    order, same first-match-per-label second-hop lookup), with two
-    speedups: per-state ``{label: first edge}`` indexes replace the
-    linear ``_edge_with_label`` scans, and certified pairs skip the
-    join-equality comparison.  Both second hops must still *exist* —
-    a truncated graph (depth bound) can cut one interleaving short,
-    and those half-diamonds are skipped exactly as before.
-    """
-    diamonds: List[Diamond] = []
-    label_index: Dict[int, Dict] = {}
-    label_repr: Dict = {}   # ActionLabel -> repr, computed once per label
-    certified: Dict[Tuple[str, str], bool] = {}
-
-    def index_of(node_id: int) -> Dict:
-        idx = label_index.get(node_id)
-        if idx is None:
-            idx = {}
-            for edge in graph.out_edges(node_id):
-                idx.setdefault(edge.label, edge)
-            label_index[node_id] = idx
-        return idx
-
-    def repr_of(label) -> str:
-        text = label_repr.get(label)
-        if text is None:
-            text = repr(label)
-            label_repr[label] = text
-        return text
-
-    for node_id in range(graph.num_states):
-        out = graph.out_edges(node_id)
-        for i, edge_a in enumerate(out):
-            for edge_b in out[i + 1 :]:
-                if edge_a.label == edge_b.label:
-                    continue
-                if edge_a.dst == edge_b.dst:
-                    continue
-                first_a, first_b = edge_a, edge_b
-                if repr_of(first_b.label) < repr_of(first_a.label):
-                    first_a, first_b = first_b, first_a
-                second_a = index_of(first_a.dst).get(first_b.label)
-                second_b = index_of(first_b.dst).get(first_a.label)
-                if second_a is None or second_b is None:
-                    continue
-                names = (first_a.label.name, first_b.label.name)
-                is_certified = certified.get(names)
-                if is_certified is None:
-                    is_certified = independence.certified(*names)
-                    certified[names] = is_certified
-                if not is_certified and second_a.dst != second_b.dst:
-                    continue
-                diamonds.append(Diamond(node_id, first_a, second_a, first_b, second_b))
-    return diamonds
-
-
-def _edge_with_label(graph: StateGraph, src: int, label) -> Edge:
-    for edge in graph.out_edges(src):
-        if edge.label == label:
-            return edge
-    return None
 
 
 def por_excluded_edges(graph: StateGraph, seed: int = 0,
@@ -178,40 +139,33 @@ def por_excluded_edges(graph: StateGraph, seed: int = 0,
     """
     rng = random.Random(seed)
     with TRACER.span("por.reduce", spec=graph.spec_name, seed=seed) as por_span:
-        excluded: Set[Tuple] = set()
-        kept: Set[Tuple] = set()
+        excluded: Set[int] = set()   # edge indices
+        kept: Set[int] = set()
         result: Set[Edge] = set()
         diamonds = find_diamonds(graph, independence=independence)
         for diamond in diamonds:
             option_a = diamond.second_a  # drop candidate if order B is kept
             option_b = diamond.second_b
-            a_key, b_key = option_a.key(), option_b.key()
-            if a_key in excluded and b_key in excluded:
-                continue  # both orders already dropped by earlier diamonds
-            if a_key in excluded:
-                choice = option_b  # order A already dead; keep order B
-                drop = None
-            elif b_key in excluded:
-                choice = option_a
-                drop = None
-            elif a_key in kept and b_key in kept:
+            a_key, b_key = option_a.index, option_b.index
+            if a_key in excluded or b_key in excluded:
+                continue  # one order already dropped; the other stays
+            if a_key in kept and b_key in kept:
                 continue  # both orders pinned by earlier diamonds; drop neither
-            elif a_key in kept:
+            if a_key in kept:
                 drop = option_b
             elif b_key in kept:
                 drop = option_a
             else:
                 drop = option_a if rng.random() < 0.5 else option_b
-            if drop is not None and drop.key() not in kept:
-                excluded.add(drop.key())
-                result.add(drop)
-                keep = option_b if drop is option_a else option_a
-                kept.add(keep.key())
-                if TRACER.enabled:
-                    TRACER.emit("por.pruned", origin=diamond.origin,
-                                src=drop.src, dst=drop.dst,
-                                label=repr(drop.label),
-                                kept=repr(keep.label))
+            excluded.add(drop.index)
+            result.add(drop)
+            keep = option_b if drop is option_a else option_a
+            kept.add(keep.index)
+            if TRACER.enabled:
+                TRACER.emit("por.pruned", origin=diamond.origin,
+                            src=drop.src, dst=drop.dst,
+                            label=repr(drop.label),
+                            kept=repr(keep.label))
         if TRACER.enabled:
             METRICS.counter("por.pruned_edges").inc(len(result))
             METRICS.set_gauge("por.diamonds", len(diamonds))

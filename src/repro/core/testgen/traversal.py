@@ -14,7 +14,7 @@ schedules that are not chosen "are not treated as our coverage target").
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Set
 
 from ...obs import TRACER
 from ...tlaplus.graph import Edge, StateGraph
@@ -23,16 +23,22 @@ __all__ = ["TraversalResult", "edge_coverage_paths"]
 
 
 class TraversalResult:
-    """Paths produced by the traversal plus coverage bookkeeping."""
+    """Paths produced by the traversal plus coverage bookkeeping.
 
-    def __init__(self, paths: List[List[Edge]], targets: Set[Tuple],
-                 covered: Set[Tuple]):
+    ``targets`` and ``covered`` hold :attr:`Edge.index` values: the
+    coverage targets (every edge POR did not exclude) and the targets
+    some path walks (``graph.edges()[i]`` is the edge itself).
+    :func:`node_coverage_paths` fills them with node ids instead.
+    """
+
+    def __init__(self, paths: List[List[Edge]], targets: Set[Any],
+                 covered: Set[Any]):
         self.paths = paths
         self.targets = targets
         self.covered = covered
 
     @property
-    def uncovered(self) -> Set[Tuple]:
+    def uncovered(self) -> Set[Any]:
         """Coverage targets no path visited (unreachable via target edges)."""
         return self.targets - self.covered
 
@@ -64,19 +70,17 @@ def edge_coverage_paths(
     """
     with TRACER.span("testgen.traversal", spec=graph.spec_name) as walk_span:
         ends: Set[int] = set(end_state_ids or ())
-        excluded: Set[Tuple] = {edge.key() for edge in (excluded_edges or ())}
-        targets: Set[Tuple] = {
-            edge.key() for edge in graph.edges() if edge.key() not in excluded
-        }
+        excluded: Set[int] = {edge.index for edge in (excluded_edges or ())}
+        targets: Set[int] = set(range(graph.num_edges)) - excluded
 
-        visited: Set[Tuple] = set()
+        visited: Set[int] = set()
         paths: List[List[Edge]] = []
 
         for init_id in graph.initial_ids:
             if max_paths is not None and len(paths) >= max_paths:
                 break
-            _traverse_from(graph, init_id, ends, excluded, visited, paths,
-                           max_paths)
+            _traverse_from(graph.adjacency(), init_id, ends, excluded,
+                           visited, paths, max_paths)
 
         walk_span.add(paths=len(paths), targets=len(targets),
                       covered=len(visited))
@@ -88,7 +92,7 @@ class _Frame:
 
     __slots__ = ("state_id", "path", "edge_iter", "entered")
 
-    def __init__(self, state_id: int, path: List[Edge], edges: List[Edge]):
+    def __init__(self, state_id: int, path: List[Edge], edges: Sequence[Edge]):
         self.state_id = state_id
         self.path = path
         self.edge_iter = iter(edges)
@@ -96,11 +100,11 @@ class _Frame:
 
 
 def _traverse_from(
-    graph: StateGraph,
+    adjacency: Mapping[int, Sequence[Edge]],
     init_id: int,
     ends: Set[int],
-    excluded: Set[Tuple],
-    visited: Set[Tuple],
+    excluded: Set[int],
+    visited: Set[int],
     paths: List[List[Edge]],
     max_paths: Optional[int],
 ) -> None:
@@ -112,7 +116,7 @@ def _traverse_from(
     a time, so an edge covered deep inside a sibling subtree is skipped
     when the loop returns to it — exactly as in the recursive original.
     """
-    stack: List[_Frame] = [_Frame(init_id, [], graph.out_edges(init_id))]
+    stack: List[_Frame] = [_Frame(init_id, [], adjacency[init_id])]
     while stack:
         if max_paths is not None and len(paths) >= max_paths:
             return
@@ -121,8 +125,8 @@ def _traverse_from(
         if not frame.entered:
             frame.entered = True
             has_candidate = any(
-                edge.key() not in visited and edge.key() not in excluded
-                for edge in graph.out_edges(frame.state_id)
+                edge.index not in visited and edge.index not in excluded
+                for edge in adjacency[frame.state_id]
             )
             # Line 5: end state, or every outgoing edge already visited.
             # (An initial state that is itself an end state would yield an
@@ -136,17 +140,17 @@ def _traverse_from(
         # Lines 8-15: pick the next still-unvisited edge, claim it, recurse.
         next_edge = None
         for edge in frame.edge_iter:
-            if edge.key() in visited or edge.key() in excluded:
+            if edge.index in visited or edge.index in excluded:
                 continue
             next_edge = edge
             break
         if next_edge is None:
             stack.pop()
             continue
-        visited.add(next_edge.key())
+        visited.add(next_edge.index)
         stack.append(
             _Frame(next_edge.dst, frame.path + [next_edge],
-                   graph.out_edges(next_edge.dst))
+                   adjacency[next_edge.dst])
         )
 
 
@@ -170,7 +174,7 @@ def node_coverage_paths(
     two states, which is why Mocket chooses edge coverage.
 
     ``TraversalResult.targets``/``covered`` hold node ids wrapped as
-    1-tuples so the result type matches the edge-coverage variant.
+    1-tuples, so they never pass for the edge variant's edge indices.
     """
     ends: Set[int] = set(end_state_ids or ())
     visited_nodes: Set[int] = set()

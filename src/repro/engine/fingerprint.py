@@ -24,7 +24,7 @@ monitor key on it.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Any
+from typing import Any, Dict, Optional, Tuple
 
 from ..tlaplus.state import ActionLabel, State
 from ..tlaplus.values import FrozenDict
@@ -53,64 +53,68 @@ class FingerprintCollision(RuntimeError):
     """
 
 
-def encode_canonical(value: Any) -> bytes:
-    """Canonical, process-independent byte encoding of a frozen value."""
-    out = bytearray()
-    _encode(value, out)
-    return bytes(out)
+#: ``id(value) -> (value, result)``: a memo shared by the calls of one
+#: pass over many values.  Each entry holds its object, so no id can be
+#: reused by another object while the memo lives.
+Memo = Dict[int, Tuple[Any, Any]]
 
 
-def _encode(value: Any, out: bytearray) -> None:
+def encode_canonical(value: Any, memo: Optional[Memo] = None) -> bytes:
+    """Canonical, process-independent byte encoding of a frozen value.
+
+    Pass one ``memo`` to a run of calls (``canonicalize`` encodes every
+    state of a graph) and each distinct object they share — above all
+    each ``FrozenDict``/tuple/frozenset — is encoded once.
+    """
+    return _encode(value, {} if memo is None else memo)
+
+
+def _encode(value: Any, memo: Memo) -> bytes:
     # bool first: bool is a subclass of int but must not encode like one
     if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
+        return b"N"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    hit = memo.get(id(value))
+    if hit is not None:
+        return hit[1]
+    if isinstance(value, int):
         data = str(value).encode("ascii")
-        out += b"i%d:" % len(data)
-        out += data
-    elif isinstance(value, float):
-        data = repr(value).encode("ascii")
-        out += b"f%d:" % len(data)
-        out += data
+        data = b"i%d:%s" % (len(data), data)
     elif isinstance(value, str):
         data = value.encode("utf-8")
-        out += b"s%d:" % len(data)
-        out += data
-    elif isinstance(value, bytes):
-        out += b"b%d:" % len(value)
-        out += value
+        data = b"s%d:%s" % (len(data), data)
     elif isinstance(value, FrozenDict):
         # sort entries by encoded key bytes: canonical regardless of
         # insertion order, no reliance on cross-type comparability
-        entries = sorted(
-            (encode_canonical(key), encode_canonical(val))
-            for key, val in value.items()
-        )
-        out += b"d%d:" % len(entries)
-        for key_bytes, val_bytes in entries:
-            out += key_bytes
-            out += val_bytes
+        entries = sorted([(_encode(key, memo), _encode(val, memo))
+                          for key, val in value.items()])
+        data = b"d%d:%s" % (len(entries), b"".join(
+            [key_bytes + val_bytes for key_bytes, val_bytes in entries]))
     elif isinstance(value, tuple):
-        out += b"t%d:" % len(value)
-        for item in value:
-            _encode(item, out)
+        data = b"t%d:%s" % (len(value), b"".join(
+            [_encode(item, memo) for item in value]))
     elif isinstance(value, frozenset):
-        elements = sorted(encode_canonical(item) for item in value)
-        out += b"S%d:" % len(elements)
-        for element in elements:
-            out += element
+        elements = sorted([_encode(item, memo) for item in value])
+        data = b"S%d:%s" % (len(elements), b"".join(elements))
+    elif isinstance(value, float):
+        data = repr(value).encode("ascii")
+        data = b"f%d:%s" % (len(data), data)
+    elif isinstance(value, bytes):
+        data = b"b%d:%s" % (len(value), value)
     else:
         raise TypeError(
             f"cannot canonically encode value of type {type(value).__name__!r}; "
             f"states must contain only frozen values"
         )
+    memo[id(value)] = (value, data)
+    return data
 
 
-def canonical_value(value: Any) -> Any:
+def canonical_value(value: Any, memo: Optional[Memo] = None,
+                    encoded: Optional[Memo] = None) -> Any:
     """Rebuild a frozen value with canonical container construction order.
 
     Two equal ``FrozenDict``s built from differently-ordered dicts are
@@ -122,34 +126,54 @@ def canonical_value(value: Any) -> Any:
     canonical (encoded-byte) order makes iteration order a function of
     the state's *content*, which is what makes
     :func:`~repro.engine.canon.canonicalize` a content-only form.
+
+    ``memo`` (rebuilt values) and ``encoded`` (:func:`encode_canonical`'s
+    memo) may be shared by a run of calls: each distinct container is
+    then rebuilt once, and the results share their rebuilt parts.
     """
+    return _rebuild(value, {} if memo is None else memo,
+                    {} if encoded is None else encoded)
+
+
+def _rebuild(value: Any, memo: Memo, encoded: Memo) -> Any:
+    if not isinstance(value, (FrozenDict, tuple, frozenset)):
+        return value
+    hit = memo.get(id(value))
+    if hit is not None:
+        return hit[1]
     if isinstance(value, FrozenDict):
         entries = sorted(
-            ((encode_canonical(key), key, val) for key, val in value.items()),
+            ((_encode(key, encoded), key, val) for key, val in value.items()),
             key=lambda item: item[0],
         )
-        return FrozenDict({
-            canonical_value(key): canonical_value(val)
+        rebuilt: Any = FrozenDict({
+            _rebuild(key, memo, encoded): _rebuild(val, memo, encoded)
             for _, key, val in entries
         })
-    if isinstance(value, tuple):
-        return tuple(canonical_value(item) for item in value)
-    if isinstance(value, frozenset):
+    elif isinstance(value, tuple):
+        rebuilt = tuple([_rebuild(item, memo, encoded) for item in value])
+    else:
         # insertion order affects a set's internal layout (collision
         # probing) and hence its iteration/repr order; insert in
         # canonical order so equal sets are laid out identically
         elements = sorted(
-            ((encode_canonical(item), item) for item in value),
+            ((_encode(item, encoded), item) for item in value),
             key=lambda pair: pair[0],
         )
-        return frozenset(canonical_value(item) for _, item in elements)
-    return value
+        rebuilt = frozenset([_rebuild(item, memo, encoded)
+                             for _, item in elements])
+    memo[id(value)] = (value, rebuilt)
+    return rebuilt
 
 
-def canonical_state(state: State) -> State:
-    """An equal state whose containers iterate in canonical order."""
+def canonical_state(state: State, memo: Optional[Memo] = None,
+                    encoded: Optional[Memo] = None) -> State:
+    """An equal state whose containers iterate in canonical order
+    (``memo``/``encoded`` as for :func:`canonical_value`)."""
+    memo = {} if memo is None else memo
+    encoded = {} if encoded is None else encoded
     return State({
-        name: canonical_value(state._vars[name])
+        name: _rebuild(state._vars[name], memo, encoded)
         for name in sorted(state._vars)
     })
 

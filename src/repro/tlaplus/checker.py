@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from ..obs import METRICS, TRACER
 from .errors import CheckingBudgetExceeded, InvariantViolation
 from .graph import StateGraph
-from .spec import Specification
+from .spec import LabelTable, Specification
 
 __all__ = ["CheckResult", "ModelChecker", "TruncatedExplorationWarning", "check"]
 
@@ -153,6 +153,8 @@ class ModelChecker:
         # hot path: bound once, called per binding / per new state
         enabled = self.spec.enabled
         check_invariants = self.spec.check_invariants
+        # equal labels become one object for this run, and only this run
+        labels = LabelTable()
         violation: Optional[InvariantViolation] = None
         complete = True
         refused = 0
@@ -193,7 +195,7 @@ class ModelChecker:
             next_frontier: List[int] = []
             for node_id in frontier:
                 state = graph.state_of(node_id)
-                for label, successor in enabled(state):
+                for label, successor in enabled(state, labels):
                     succ_id = graph.id_of(successor)
                     is_new = succ_id is None
                     if is_new:

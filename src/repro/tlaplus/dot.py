@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, List, TextIO
+from typing import Any, Dict, List, Tuple
 
 from .errors import DotParseError
 from .graph import StateGraph
@@ -32,18 +32,78 @@ __all__ = ["encode_value", "decode_value", "to_dot", "write_dot", "parse_dot", "
 
 def encode_value(value: Any) -> str:
     """Encode a frozen value as a tagged Python literal string."""
-    return repr(_tag(value))
+    return _Renderer().tagged(value)
 
 
-def _tag(value: Any) -> Any:
-    if isinstance(value, FrozenDict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        return ("$dict", tuple((_tag(k), _tag(v)) for k, v in items))
-    if isinstance(value, tuple):
-        return ("$tuple", tuple(_tag(v) for v in value))
-    if isinstance(value, frozenset):
-        return ("$set", tuple(sorted((_tag(v) for v in value), key=repr)))
-    return value
+_CONTAINERS = (FrozenDict, tuple, frozenset)
+
+
+def _tuple_text(items: List[str]) -> str:
+    """The ``repr`` of a tuple whose elements have the ``repr``s ``items``."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return "(" + ", ".join(items) + ")"
+
+
+class _Renderer:
+    """The value texts of one rendering pass, each distinct container once.
+
+    States share most of their sub-values with their neighbours, so
+    ``to_dot`` renders each ``FrozenDict``/tuple/frozenset object once
+    however many states hold it.  The memos are keyed by ``id()`` and
+    each entry holds its object, so no id is reused by another object
+    while the renderer lives.
+    """
+
+    __slots__ = ("_tagged", "_pretty")
+
+    def __init__(self) -> None:
+        self._tagged: Dict[int, Tuple[Any, str]] = {}
+        self._pretty: Dict[int, Tuple[Any, str]] = {}
+
+    def tagged(self, value: Any) -> str:
+        """``repr`` of the tagged literal of ``value`` (module docstring):
+        ``FrozenDict`` items sorted by the ``repr`` of their keys, set
+        elements by their own text."""
+        if not isinstance(value, _CONTAINERS):
+            return repr(value)
+        hit = self._tagged.get(id(value))
+        if hit is not None:
+            return hit[1]
+        if isinstance(value, FrozenDict):
+            items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+            text = "('$dict', %s)" % _tuple_text(
+                [f"({self.tagged(k)}, {self.tagged(v)})" for k, v in items])
+        elif isinstance(value, tuple):
+            text = "('$tuple', %s)" % _tuple_text([self.tagged(v) for v in value])
+        else:
+            text = "('$set', %s)" % _tuple_text(sorted(map(self.tagged, value)))
+        self._tagged[id(value)] = (value, text)
+        return text
+
+    def pretty(self, value: Any) -> str:
+        """``repr`` with set elements and dict entries sorted.
+
+        A ``frozenset``'s own ``repr`` follows its hash-table layout,
+        which moves with ``PYTHONHASHSEED``; the human ``label=`` must not.
+        """
+        if not isinstance(value, _CONTAINERS):
+            return repr(value)
+        hit = self._pretty.get(id(value))
+        if hit is not None:
+            return hit[1]
+        if isinstance(value, FrozenDict):
+            entries = sorted((self.pretty(k), self.pretty(v))
+                             for k, v in value.items())
+            text = "FrozenDict({%s})" % ", ".join(f"{k}: {v}" for k, v in entries)
+        elif isinstance(value, frozenset):
+            text = ("frozenset({%s})" % ", ".join(sorted(map(self.pretty, value)))
+                    if value else "frozenset()")
+        else:
+            body = ", ".join(map(self.pretty, value))
+            text = f"({body},)" if len(value) == 1 else f"({body})"
+        self._pretty[id(value)] = (value, text)
+        return text
 
 
 def decode_value(text: str) -> Any:
@@ -67,25 +127,6 @@ def _untag(literal: Any) -> Any:
     return literal
 
 
-def _pretty(value: Any) -> str:
-    """``repr`` with set elements and dict entries sorted.
-
-    A ``frozenset``'s own ``repr`` follows its hash-table layout, which
-    moves with ``PYTHONHASHSEED``; the human ``label=`` must not.
-    """
-    if isinstance(value, FrozenDict):
-        entries = sorted((_pretty(k), _pretty(v)) for k, v in value.items())
-        return "FrozenDict({%s})" % ", ".join(f"{k}: {v}" for k, v in entries)
-    if isinstance(value, frozenset):
-        if not value:
-            return "frozenset()"
-        return "frozenset({%s})" % ", ".join(sorted(map(_pretty, value)))
-    if isinstance(value, tuple):
-        body = ", ".join(map(_pretty, value))
-        return f"({body},)" if len(value) == 1 else f"({body})"
-    return repr(value)
-
-
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -98,16 +139,17 @@ def to_dot(graph: StateGraph) -> str:
     """Render ``graph`` as DOT text (TLC ``-dump dot`` analogue)."""
     lines = [f'digraph "{_dot_escape(graph.spec_name or "state_space")}" {{']
     initial = set(graph.initial_ids)
+    render = _Renderer()
     for node_id, state in graph.states():
-        encoded = encode_value(state._vars)  # FrozenDict of variables
+        encoded = render.tagged(state._vars)  # FrozenDict of variables
         shape = ' shape=doublecircle' if node_id in initial else ""
-        pretty = " /\\ ".join(f"{k}={_pretty(v)}" for k, v in state.items())
+        pretty = " /\\ ".join(f"{k}={render.pretty(v)}" for k, v in state.items())
         lines.append(
             f'  {node_id} [label="{_dot_escape(pretty)}" state="{_dot_escape(encoded)}"'
             f'{shape}];'
         )
     for edge in graph.edges():
-        params = encode_value(edge.label.params)
+        params = render.tagged(edge.label.params)
         lines.append(
             f'  {edge.src} -> {edge.dst} [label="{_dot_escape(edge.label.name)}"'
             f' params="{_dot_escape(params)}"];'

@@ -8,7 +8,7 @@ binding that produced the transition.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .state import ActionLabel, State
 
@@ -112,6 +112,11 @@ class StateGraph:
 
     def out_edges(self, node_id: int) -> List[Edge]:
         return list(self._out[node_id])
+
+    def adjacency(self) -> Mapping[int, Sequence[Edge]]:
+        """Every node's out-edges in insertion order, *not* copied: for
+        passes that read the whole graph without changing it."""
+        return self._out
 
     def in_edges(self, node_id: int) -> List[Edge]:
         return list(self._in[node_id])

@@ -39,13 +39,14 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 from .errors import ActionError, SpecError
 from .state import ActionLabel, State
-from .values import freeze
+from .values import FrozenDict, freeze
 
 __all__ = [
     "VarKind",
     "ActionKind",
     "VariableDecl",
     "ActionDecl",
+    "LabelTable",
     "Specification",
     "from_constant",
     "in_flight",
@@ -186,6 +187,65 @@ class _BindingTable:
              for domain in self.domains])]
 
 
+class LabelTable:
+    """One exploration's labels for callable-domain bindings, one per label.
+
+    An ``in_flight`` domain yields the state's own message objects, and
+    one message reaches ``enabled`` as many equal objects built along
+    different paths.  A binding is looked up by the identity of its
+    values first, then by value: it reuses a label only when its values
+    are equal to the label's params *and* :func:`_alike` them, so labels
+    that compare equal but render differently (``1`` vs ``True`` in a
+    message field) stay apart.  Each entry holds the values whose
+    ``id``s key it, so no id is reused while the table lives.  The
+    checker makes one table per run.
+    """
+
+    __slots__ = ("_by_id", "_by_value")
+
+    def __init__(self) -> None:
+        self._by_id: Dict[tuple, Tuple[tuple, ActionLabel]] = {}
+        self._by_value: Dict[tuple, ActionLabel] = {}
+
+    def intern(self, name: str, binding: Dict[str, Any]) -> ActionLabel:
+        key = (name, *map(id, binding.values()))
+        entry = self._by_id.get(key)
+        if entry is None:
+            values = tuple(binding.values())
+            frozen = (name, *map(freeze, values))
+            label = self._by_value.get(frozen)
+            if label is None or not all(map(_alike, frozen[1:],
+                                            label.params.values())):
+                label = ActionLabel(name, binding)
+                self._by_value.setdefault(frozen, label)
+            entry = self._by_id[key] = (values, label)
+        return entry[1]
+
+
+#: scalars whose equal values of one type always ``repr`` alike
+_PLAIN_SCALARS = frozenset({type(None), bool, int, str, bytes})
+
+
+def _alike(one: Any, other: Any) -> bool:
+    """Equal, with the same scalar types and the same container iteration
+    order throughout, so that every rendering of the two is the same."""
+    if one is other:
+        return True
+    kind = type(one)
+    if kind is not type(other):
+        return False
+    if kind is FrozenDict:
+        return len(one) == len(other) and all(
+            _alike(key, other_key) and _alike(value, other_value)
+            for (key, value), (other_key, other_value)
+            in zip(one.items(), other.items()))
+    if kind is tuple or kind is frozenset:
+        return len(one) == len(other) and all(map(_alike, one, other))
+    if kind in _PLAIN_SCALARS:
+        return one == other
+    return one == other and repr(one) == repr(other)
+
+
 class Specification:
     """A TLA+ module instantiated with concrete constants."""
 
@@ -318,11 +378,14 @@ class Specification:
             )
         return state.with_updates(updates)
 
-    def enabled(self, state: State) -> Iterator[Tuple[ActionLabel, State]]:
+    def enabled(self, state: State, labels: Optional[LabelTable] = None
+                ) -> Iterator[Tuple[ActionLabel, State]]:
         """Yield every enabled ``(label, successor)`` pair from ``state``.
 
         This is the ``Next`` relation TLC iterates: all actions, all
         parameter bindings, skipping bindings whose precondition fails.
+        Static-domain labels are always shared; callable-domain labels
+        are shared through ``labels`` when the caller passes one.
         """
         const = self.constants
         for decl, table in self._binding_tables():
@@ -330,7 +393,8 @@ class Specification:
                 successor = self.apply(decl, state, binding)
                 if successor is not None:
                     if label is None:
-                        label = ActionLabel(decl.name, binding)
+                        label = (ActionLabel(decl.name, binding) if labels is None
+                                 else labels.intern(decl.name, binding))
                     yield label, successor
 
     def _binding_tables(self) -> List[Tuple[ActionDecl, _BindingTable]]:

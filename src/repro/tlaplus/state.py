@@ -136,6 +136,8 @@ class ActionLabel:
         return self._hash
 
     def __eq__(self, other: Any) -> bool:
+        if self is other:  # interned labels: the common case
+            return True
         if not isinstance(other, ActionLabel):
             return NotImplemented
         return self.name == other.name and self.params == other.params

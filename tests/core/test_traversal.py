@@ -19,6 +19,12 @@ def _graph(edges, initial=(0,), n_states=None):
     return graph
 
 
+def _names(graph, indices):
+    """Action names of the edges with these indices."""
+    edges = graph.edges()
+    return {edges[index].label.name for index in indices}
+
+
 class TestEdgeCoverage:
     def test_single_chain(self):
         graph = _graph([(0, 1, "A"), (1, 2, "B")])
@@ -69,7 +75,7 @@ class TestEdgeCoverage:
         result = edge_coverage_paths(graph, end_state_ids={1})
         # the first path ends at state 1; edges B and C are never reached
         assert [e.label.name for e in result.paths[0]] == ["A"]
-        assert {key[2].name for key in result.uncovered} == {"B", "C"}
+        assert _names(graph, result.uncovered) == {"B", "C"}
 
     def test_initial_end_state_does_not_block(self):
         graph = _graph([(0, 1, "A")])
@@ -81,7 +87,7 @@ class TestEdgeCoverage:
         excluded = [e for e in graph.edges() if e.label.name == "B"]
         result = edge_coverage_paths(graph, excluded_edges=excluded)
         assert len(result.paths) == 1
-        assert result.targets == {e.key() for e in graph.edges() if e.label.name == "A"}
+        assert result.targets == {e.index for e in graph.edges() if e.label.name == "A"}
         assert result.uncovered == set()
 
     def test_max_paths_caps(self):
@@ -99,7 +105,7 @@ class TestEdgeCoverage:
     def test_unreachable_edges_reported_uncovered(self):
         graph = _graph([(0, 1, "A"), (2, 3, "B")])  # 2 not reachable from 0
         result = edge_coverage_paths(graph)
-        assert {key[2].name for key in result.uncovered} == {"B"}
+        assert _names(graph, result.uncovered) == {"B"}
 
     def test_paths_start_from_initial(self):
         graph = _graph([(0, 1, "A"), (1, 2, "B"), (2, 1, "C")])
@@ -148,7 +154,7 @@ class TestTraversalProperties:
         for path in result.paths:
             keys = [e.key() for e in path]
             assert len(keys) == len(set(keys))
-        seen = [e.key() for p in result.paths for e in p]
+        seen = [e.index for p in result.paths for e in p]
         # every covered edge is a target
         assert set(seen) <= result.targets
         # reachable edges are covered: compute reachability and compare
@@ -158,7 +164,7 @@ class TestTraversalProperties:
         while frontier:
             node = frontier.pop()
             for edge in graph.out_edges(node):
-                reachable.add(edge.key())
+                reachable.add(edge.index)
                 if edge.dst not in visited_nodes:
                     visited_nodes.add(edge.dst)
                     frontier.append(edge.dst)

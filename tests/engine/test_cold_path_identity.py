@@ -1,12 +1,12 @@
 """Byte-identity guard for the cold path (check -> canonicalize -> testgen).
 
-The value layer (binding tables, freeze-once successors, encode-once
-canonicalisation, path-backed test cases) is optimised for speed and
-must never move an output byte: node ids, edge order, labels, the
-canonical renumbering and the saved suite are pinned here as sha256
-digests, recorded before those optimisations landed, for three of the
-pipeline benchmark's models.  Each hash seed runs in its own
-interpreter so ``PYTHONHASHSEED`` really differs.
+The value layer (binding tables, interned labels, freeze-once
+successors, id-memoized encoding and rendering, path-backed test cases)
+is optimised for speed and must never move an output byte: node ids,
+edge order, labels, the canonical renumbering and the saved suite are
+pinned here as sha256 digests, recorded before those optimisations
+landed, for four of the pipeline benchmark's models.  Each hash seed
+runs in its own interpreter so ``PYTHONHASHSEED`` really differs.
 """
 
 import os
@@ -27,6 +27,7 @@ _SCRIPT = textwrap.dedent("""
     from repro.engine import canonicalize
     from repro.specs.raft import RaftSpecOptions, build_raft_spec
     from repro.specs.zab import ZabSpecOptions, build_zab_spec
+    from repro.systems.catalog import get_model
     from repro.tlaplus import check
     from repro.tlaplus.dot import to_dot
 
@@ -41,6 +42,8 @@ _SCRIPT = textwrap.dedent("""
         "zab-model": lambda: build_zab_spec(ZabSpecOptions(
             max_elections=1, max_crashes=0, max_restarts=0,
             starters=("n1",), name="zab-model")),
+        # the CLI's Xraft model: drop + duplicate, the most in_flight labels
+        "xraft-model": get_model("xraft"),
     }
 
     def sha(text):
@@ -72,6 +75,11 @@ PINNED = {
         "be7bfdf963f5d6726acbc045910bce7efb86d21981070e8c9d63326b0a29004e",
         "70c8063afde66b6da22dc23fd0748d68323898220629299880502bd1673df596",
         "c9f9419449dd4de6795c261c7ad154e8823c03b5cecb075fa0ab622dd67a1878"),
+    # recorded before label interning and the id-memoized encoders
+    "xraft-model": (
+        "fd4df6d52e11e6ca2f7b2dd63f32c29733edb5fb64358d10727dbc72c12d2790",
+        "786d853c761e8cc9d0ce816bcebf8dff23c3c3933a561b6ed09ff9afa2f313d4",
+        "b2969c72663056c5125798a2f4b0a177933663be644b1d30eaaab1ac3544af9a"),
 }
 
 
@@ -104,4 +112,6 @@ def test_profile_script_runs(capsys):
                                    "--repeats", "1"]) == 0
     out = capsys.readouterr().out
     assert "== example: 13 states, 18 edges" in out
+    for stage in profile_cold_path.STAGES:
+        assert f" {stage} " in out
     assert "Ordered by: internal time" in out

@@ -184,6 +184,29 @@ class TestSyncPhase:
         assert result.ok
 
 
+class TestKnownFinding:
+    def test_n1_starter_model_elects_two_leaders_in_one_epoch(self):
+        # the pipeline benchmark's zab-model rung: its graph is the BFS up
+        # to this counterexample, not the full state space (EXPERIMENTS.md)
+        result = check(_spec(max_elections=1, max_crashes=0, max_restarts=0,
+                             starters=("n1",), name="zab-model"))
+        assert result.violation.invariant_name == "SingleLeaderPerEpoch"
+        assert (result.graph.num_states, result.graph.num_edges) == (2282, 5324)
+        assert not result.complete and result.diameter == 9
+        labels = [label for label, _ in result.violation.trace]
+        assert labels[0] is None and len(labels) == 10
+        assert [repr(label) for label in (labels[1], labels[8], labels[9])] == [
+            "StartElection(i='n1')", "BecomeLeading(i='n2')",
+            "BecomeLeading(i='n3')"]
+        assert [label.name for label in labels[2:8]] == ["HandleVote"] * 6
+        # n1 switched its vote from n2 to n3; each counted n1's vote for it
+        assert [label.params["m"]["mvote"] for label in labels[6:8]] == [
+            (0, "n2"), (0, "n3")]
+        final = result.violation.state
+        assert final.state["n2"] == final.state["n3"] == LEADING
+        assert final.acceptedEpoch["n2"] == final.acceptedEpoch["n3"] == 1
+
+
 class TestFaults:
     def _elected(self):
         spec = _spec(starters=("n3", "n2"))

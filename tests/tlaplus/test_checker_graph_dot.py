@@ -19,8 +19,38 @@ from repro.tlaplus import (
     to_dot,
     write_dot,
 )
-from repro.tlaplus.dot import decode_value, encode_value
+from repro.tlaplus.dot import _Renderer, decode_value, encode_value
 from repro.tlaplus.values import FrozenDict, freeze
+
+
+def _reference_tag(value):
+    """The tagged literal, built recursively with no memo."""
+    if isinstance(value, FrozenDict):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        return ("$dict", tuple((_reference_tag(k), _reference_tag(v))
+                               for k, v in items))
+    if isinstance(value, tuple):
+        return ("$tuple", tuple(_reference_tag(v) for v in value))
+    if isinstance(value, frozenset):
+        return ("$set", tuple(sorted((_reference_tag(v) for v in value),
+                                     key=repr)))
+    return value
+
+
+def _reference_pretty(value):
+    """The ``label=`` text, built recursively with no memo."""
+    if isinstance(value, FrozenDict):
+        entries = sorted((_reference_pretty(k), _reference_pretty(v))
+                         for k, v in value.items())
+        return "FrozenDict({%s})" % ", ".join(f"{k}: {v}" for k, v in entries)
+    if isinstance(value, frozenset):
+        if not value:
+            return "frozenset()"
+        return "frozenset({%s})" % ", ".join(sorted(map(_reference_pretty, value)))
+    if isinstance(value, tuple):
+        body = ", ".join(map(_reference_pretty, value))
+        return f"({body},)" if len(value) == 1 else f"({body})"
+    return repr(value)
 
 
 def _counter_spec(limit=3):
@@ -188,6 +218,20 @@ class TestDot:
     def test_decode_garbage_raises(self):
         with pytest.raises(DotParseError):
             decode_value("not a literal [")
+
+    def test_memoized_texts_match_the_recursive_reference(self):
+        shared = freeze({"k": (1,)})
+        values = [
+            FrozenDict(), (), frozenset(), (1,), ("it's", b"\x00", 2.5, None),
+            freeze({"a": [True, 1], "b": {frozenset({("x", 1)}), 3}}),
+            FrozenDict({shared: 1, freeze({"k": ()}): 2}),
+            freeze({"one": shared, "two": [shared, {shared}]}),
+        ]
+        render = _Renderer()
+        for value in values:
+            assert encode_value(value) == repr(_reference_tag(value))
+            assert render.tagged(value) == repr(_reference_tag(value))
+            assert render.pretty(value) == _reference_pretty(value)
 
     def test_roundtrip_counter(self):
         graph = check(_counter_spec()).graph
