@@ -42,7 +42,7 @@ from repro.tlaplus import check
 
 FAST = RunnerConfig(match_timeout=2.0, done_timeout=2.0,
                     quiesce_delay=0.05)
-FAULTS = FaultConfig(retries=2, backoff=0.05, convergence_timeout=2.0)
+FAULTS = FaultConfig(convergence_timeout=2.0)
 
 
 def run_arm(bed, guided: bool, budget: int) -> dict:

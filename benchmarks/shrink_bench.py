@@ -66,8 +66,7 @@ def bench_end_to_end() -> dict:
         plan, graph, suite, mapping, factory,
         RunnerConfig(match_timeout=1.0, done_timeout=1.0,
                      quiesce_delay=0.05),
-        fault_config=FaultConfig(retries=1, backoff=0.05,
-                                 convergence_timeout=1.0),
+        fault_config=FaultConfig(convergence_timeout=1.0),
         budget=200)
     elapsed = time.perf_counter() - started
     return {

@@ -13,8 +13,8 @@ implementation in four situations:
   state when the test case ends),
 * **stalled** — under fault injection (:mod:`repro.faults`), a
   scheduled action still never arrived (or never finished) after every
-  injected fault was healed and the bounded retry/backoff budget was
-  exhausted; the case is reported instead of hanging.
+  injected fault was healed and one more wait ended with the cluster
+  idle; the case is reported instead of hanging.
 
 A report cannot by itself distinguish an implementation bug from a
 specification bug — that is the investigator's job (Section 4.3.3), so

@@ -46,7 +46,7 @@ __all__ = ["RunnerConfig", "ControlledTester"]
 
 
 class RunnerConfig:
-    """Upper bounds and toggles for controlled testing.
+    """Upper bounds for controlled testing.
 
     Every wait ends as soon as the cluster is quiescent; the three
     durations are only the ceiling for a system whose threads block
@@ -54,11 +54,10 @@ class RunnerConfig:
     """
 
     def __init__(self, match_timeout: float = 2.0, done_timeout: float = 2.0,
-                 quiesce_delay: float = 0.05, check_unexpected: bool = True):
+                 quiesce_delay: float = 0.05):
         self.match_timeout = match_timeout      # upper bound: wait for a matching notification
         self.done_timeout = done_timeout        # upper bound: wait for an enabled action to finish
         self.quiesce_delay = quiesce_delay      # upper bound: wait for quiescence before the end-of-case check
-        self.check_unexpected = check_unexpected
 
 
 class ControlledTester:
@@ -167,7 +166,7 @@ class ControlledTester:
                         break
                     executed += 1
                 phases["steps"] = time.monotonic() - phase_start
-                if divergence is None and self.config.check_unexpected:
+                if divergence is None:
                     phase_start = time.monotonic()
                     divergence = self._end_of_case_check(case, runtime, checker)
                     phases["check"] = time.monotonic() - phase_start

@@ -127,30 +127,6 @@ class StateChecker:
         translated = vm.to_spec(raw) if vm.to_spec is not None else raw
         return self.mapping.to_spec_value(translated) == expected_value
 
-    def converged(self, expected: State, timeout: float,
-                  poll: float = 0.1,
-                  clock: Optional[Any] = None) -> List[VariableDivergence]:
-        """Poll :meth:`compare` until it comes back clean or ``timeout``
-        elapses; returns the *last* mismatch list (empty on success).
-
-        Per-step comparison expects the runtime to already sit in the
-        verified state; after a disruptive fault (crash, bounce) the
-        fault runner instead demands eventual re-convergence, which is
-        inherently a bounded wait.  ``clock`` defaults to the wall
-        clock; callers on the simulated path pass a virtual clock so
-        the wait advances simulated time instead of blocking.
-        """
-        if clock is None:
-            from ...runtime.clock import WALL_CLOCK
-            clock = WALL_CLOCK
-
-        deadline = clock.now() + timeout
-        while True:
-            mismatches = self.compare(expected)
-            if not mismatches or clock.now() >= deadline:
-                return mismatches
-            clock.sleep(poll)
-
     def _compare_message_variables(self, expected: State) -> List[VariableDivergence]:
         if self.mapping.message_check is not MessageCheckMode.STRICT:
             return []

@@ -6,17 +6,19 @@ cases by the time they reach it — the planner appended them to the
 suite), applies the plan's chaos injections at their step boundaries,
 and changes failure handling in two ways:
 
-* **bounded retry/backoff** — when a scheduled action times out while
-  chaos faults have been applied, the runner heals all partitions,
-  backs off, and re-waits; an injected fault therefore cannot hang a
-  case.  If the retry budget runs out the case is reported as
-  ``stalled`` (the fourth divergence kind) instead of blocking.
+* **heal and re-wait** — when a scheduled action times out while
+  chaos faults have been applied, the runner heals every fault and
+  waits once more, until the action matches or the cluster goes idle;
+  an injected fault therefore cannot hang a case.  If the re-wait ends
+  without the action the case is reported as ``stalled`` (the fourth
+  divergence kind) instead of blocking.  Healing holds nothing back,
+  so a second re-wait would see the same idle cluster.
 * **convergence mode** — once a *disruptive* injection (bounce / crash)
   fires, per-step state equality is meaningless: the node was perturbed
   outside the verified state space.  The runner skips per-step
   comparison and instead demands, at end of case with every fault
-  healed, that the implementation re-converge to the final verified
-  state within a bounded window.
+  healed and the cluster quiescent, that the implementation has
+  re-converged to the final verified state.
 
 Per-case nemesis state is reset at case start inside ``_run_case``, so
 the forked workers of :func:`repro.engine.run_suite_parallel` — which
@@ -27,14 +29,13 @@ deterministic for any worker count.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..core.mapping.kinds import FaultKind, TriggerKind
 from ..core.mapping.registry import SpecMapping
 from ..core.testbed.report import Divergence, DivergenceKind, TestCaseResult
 from ..core.testbed.runner import ControlledTester, RunnerConfig
 from ..core.testgen.testcase import TestCase, TestStep
-from ..runtime.clock import Clock, WALL_CLOCK
 from ..runtime.cluster import Cluster
 from ..tlaplus.graph import StateGraph
 from .nemesis import Nemesis
@@ -44,24 +45,16 @@ __all__ = ["FaultConfig", "FaultRunner"]
 
 
 class FaultConfig:
-    """Retry/backoff budget for fault-perturbed cases."""
+    """The convergence ceiling for fault-perturbed cases.
 
-    def __init__(self, retries: int = 2, backoff: float = 0.25,
-                 convergence_timeout: float = 2.0, poll: float = 0.1,
-                 jitter: float = 0.0, clock: Optional[Clock] = None):
-        self.retries = retries                        # re-waits after heal
-        self.backoff = backoff                        # seconds, linear per attempt
+    The end-of-case convergence check waits for the cluster to go
+    quiescent; ``convergence_timeout`` only bounds that wait for a
+    system whose threads block outside a park point.  ``clock`` is
+    accepted and ignored: no fault-layer wait paces itself with time.
+    """
+
+    def __init__(self, convergence_timeout: float = 2.0, clock: Any = None):
         self.convergence_timeout = convergence_timeout
-        self.poll = poll                              # convergence re-check period
-        # all backoff and convergence waits go through this clock; a
-        # :class:`~repro.runtime.sim.VirtualClock` turns them into
-        # simulated-time advances so replays pay no real backoff time
-        self.clock = clock if clock is not None else WALL_CLOCK
-        # optional extra sleep, up to ``jitter`` seconds per retry.  The
-        # amount is drawn from a plan-seeded per-case stream (never the
-        # process-global ``random``), so ``faults replay`` and the
-        # shrinker see bit-identical behaviour run over run.
-        self.jitter = jitter
 
 
 class FaultRunner(ControlledTester):
@@ -78,10 +71,6 @@ class FaultRunner(ControlledTester):
         self._nemesis: Optional[Nemesis] = None
         self._pending: List[FaultInjection] = []
         self._case_rng: Optional[random.Random] = None
-        # backoff jitter draws come from their own stream: the nemesis
-        # stream must consume the same sequence regardless of how many
-        # retries happened, or reorder/corrupt picks would drift
-        self._backoff_rng: Optional[random.Random] = None
         self._convergence = False
         self._heal_at: List[int] = []
 
@@ -90,8 +79,6 @@ class FaultRunner(ControlledTester):
         self._pending = self.plan.chaos_for(case.case_id)
         self._case_rng = random.Random(
             f"{self.plan.seed}:{case.case_id}:nemesis")
-        self._backoff_rng = random.Random(
-            f"{self.plan.seed}:{case.case_id}:backoff")
         self._nemesis = None
         self._convergence = False
         self._heal_at = []
@@ -125,36 +112,28 @@ class FaultRunner(ControlledTester):
 
     def _retry_step(self, index: int, step: TestStep, runtime, cluster,
                     checker, divergence: Divergence) -> Optional[Divergence]:
-        """Heal, back off, re-wait — never re-running client scripts or
-        crash/restart/duplicate effects, which already happened."""
+        """Heal, then re-wait once — never re-running client scripts or
+        crash/restart/duplicate effects, which already happened.  The
+        re-wait ends on a match or on quiescence, like every wait."""
         action = self.mapping.action_mapping(step.label.name)
         if (action.trigger is TriggerKind.FAULT
                 and action.fault_kind is not FaultKind.DROP_MESSAGE):
             return divergence  # only the drop switch involves a wait
-        last = divergence
-        for attempt in range(1, self.faults.retries + 1):
-            self._nemesis.heal_all()
-            pause = self.faults.backoff * attempt
-            if self.faults.jitter:
-                pause += self._backoff_rng.random() * self.faults.jitter
-            self.faults.clock.sleep(pause)
-            if action.trigger is TriggerKind.FAULT:
-                retried = self._run_fault(index, step, runtime, cluster,
-                                          action)
-            else:
-                retried = self._run_spontaneous(index, step, runtime)
-            if retried is None:
-                return self._check_expected(index, step, checker)
-            last = retried
-        if last.kind is DivergenceKind.UNEXPECTED_ACTION:
-            # the offending notification survived every heal: a genuine
+        self._nemesis.heal_all()
+        if action.trigger is TriggerKind.FAULT:
+            retried = self._run_fault(index, step, runtime, cluster, action)
+        else:
+            retried = self._run_spontaneous(index, step, runtime)
+        if retried is None:
+            return self._check_expected(index, step, checker)
+        if retried.kind is DivergenceKind.UNEXPECTED_ACTION:
+            # the offending notification survived the heal: a genuine
             # unexpected action, not a delayed delivery
-            return last
+            return retried
         return Divergence(
             DivergenceKind.STALLED, index, action=step.label.name,
-            pending=last.pending,
-            detail=(f"no progress after {self.faults.retries} retries with "
-                    f"all faults healed; injected: "
+            pending=retried.pending,
+            detail=(f"no progress with all faults healed; injected: "
                     f"{'; '.join(self._nemesis.applied)}"),
         )
 
@@ -170,17 +149,18 @@ class FaultRunner(ControlledTester):
         if self._nemesis is not None:
             self._nemesis.heal_all()
         if self._convergence:
-            return self._check_convergence(case, checker)
+            return self._check_convergence(case, runtime, checker)
         return super()._end_of_case_check(case, runtime, checker)
 
-    def _check_convergence(self, case: TestCase,
+    def _check_convergence(self, case: TestCase, runtime,
                            checker) -> Optional[Divergence]:
-        """Poll until the runtime state equals the final verified state,
-        or the convergence window closes."""
-        mismatches = checker.converged(case.final_state,
-                                       self.faults.convergence_timeout,
-                                       poll=self.faults.poll,
-                                       clock=self.faults.clock)
+        """Compare against the final verified state once the healed
+        cluster is quiescent.  The testbed enables nothing here, so no
+        state can change after that; a cluster that never quiesces is
+        compared at the ``convergence_timeout`` ceiling."""
+        runtime.cluster.network.wait_quiescent(
+            self.faults.convergence_timeout)
+        mismatches = checker.compare(case.final_state)
         if not mismatches:
             return None
         return Divergence(

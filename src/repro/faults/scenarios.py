@@ -13,8 +13,8 @@ contract:
   the bounce.
 * ``pyxraft_crash_blackout`` — crash the vote-granting follower right
   before its handler action is scheduled.  The notification can never
-  arrive; the bounded retry budget exhausts and the case reports
-  ``stalled`` — attributed, never hanging.
+  arrive; the heal-and-re-wait ends with the cluster idle and the case
+  reports ``stalled`` — attributed, never hanging.
 * ``pyxraft_partition_transparent`` — partition the candidate away
   mid-election, forcing the runner down the heal-on-retry path; the
   case must still **pass**, because a partition only delays messages

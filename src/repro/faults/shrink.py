@@ -3,9 +3,9 @@
 When a long chaos run fails, the user is handed a plan with dozens of
 injections and no idea which ones mattered.  :func:`shrink_plan` is the
 Jepsen/QuickCheck answer: replay candidate sub-plans through the very
-same :class:`~repro.faults.runner.FaultRunner` (seeded retry/backoff
-included, so every replay is bit-deterministic) and keep only what is
-needed to reproduce the failure.
+same :class:`~repro.faults.runner.FaultRunner` (whose heal-and-re-wait
+and convergence check end on quiescence, so a replay paces nothing with
+wall time) and keep only what is needed to reproduce the failure.
 
 "Still failing" reuses :func:`~repro.faults.triage.triage` attribution:
 a candidate reproduces iff it yields an **unattributed** divergence of

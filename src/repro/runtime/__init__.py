@@ -1,21 +1,19 @@
 """Pseudo-distributed cluster substrate: nodes, network, storage, faults.
 
 Two execution modes share this package: the original **threaded** path
-(real threads, real time — what the controlled testbed drives) and the
-**deterministic simulation** path under :mod:`repro.runtime.sim`
-(virtual clock, one seeded event loop, zero threads — what ``mocket
-soak`` drives).  The :class:`Clock` seam in :mod:`repro.runtime.clock`
-is what lets the same waiting code run on either.
+(real threads whose waits end on cluster quiescence — what the
+controlled testbed drives) and the **deterministic simulation** path
+under :mod:`repro.runtime.sim` (virtual clock, one seeded event loop,
+zero threads — what ``mocket soak`` drives).  Neither path paces itself
+with wall-clock sleeps.
 """
 
-from .clock import Clock, WallClock, WALL_CLOCK
 from .cluster import Cluster
 from .network import Envelope, Network, RpcError
 from .node import Node, NodeCrashed
 from .storage import PersistentStore, StorageBackend
 
 __all__ = [
-    "Clock",
     "Cluster",
     "Envelope",
     "Network",
@@ -24,6 +22,4 @@ __all__ = [
     "PersistentStore",
     "RpcError",
     "StorageBackend",
-    "WALL_CLOCK",
-    "WallClock",
 ]

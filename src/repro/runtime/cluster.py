@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .clock import Clock, WALL_CLOCK
 from .network import Network
 from .node import Node
 from .storage import StorageBackend
@@ -33,11 +32,6 @@ class Cluster:
         self.factory = factory
         self.network = Network()
         self.storage = StorageBackend()
-        # The cluster's time source.  The threaded path runs on real
-        # time; SimCluster swaps in a VirtualClock plus a scheduler so
-        # every delay and retry becomes a deterministic event.
-        self.clock: Clock = WALL_CLOCK
-        self.scheduler: Optional[Any] = None
         self.nodes: Dict[str, Node] = {}
         self._lock = threading.Lock()
         self.deployed = False

@@ -45,16 +45,6 @@ class Node:
         self.node_id = node_id
         self.cluster = cluster
         self.network = cluster.network
-        # Time source inherited from the cluster: wall clock on the
-        # threaded path, a VirtualClock under the simulation harness.
-        # Subclasses must route every delay through it (or through
-        # `sim`, the cluster's event-loop scheduler, None when threaded)
-        # so the simulated path never reads the wall clock.
-        self.clock = getattr(cluster, "clock", None)
-        if self.clock is None:
-            from .clock import WALL_CLOCK
-            self.clock = WALL_CLOCK
-        self.sim = getattr(cluster, "scheduler", None)
         self.storage: PersistentStore = cluster.storage.store_for(node_id)
         self.peers: List[str] = [n for n in cluster.node_ids if n != node_id]
         self._threads: List[threading.Thread] = []

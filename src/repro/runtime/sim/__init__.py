@@ -14,12 +14,13 @@ clock; ``tests/soak/test_no_wallclock_guard.py`` greps the simulated
 path to keep it that way.
 """
 
-from .clock import VirtualClock
+from .clock import Clock, VirtualClock
 from .cluster import SimCluster
 from .network import SimNetwork
 from .scheduler import SimEvent, SimScheduler
 
 __all__ = [
+    "Clock",
     "SimCluster",
     "SimEvent",
     "SimNetwork",

@@ -15,9 +15,22 @@ whole simulated path.
 
 from __future__ import annotations
 
-from ..clock import Clock
+__all__ = ["Clock", "VirtualClock"]
 
-__all__ = ["VirtualClock"]
+
+class Clock:
+    """Minimal clock interface: a monotonic ``now`` and a ``sleep``.
+
+    ``now()`` returns seconds on a monotonic axis whose origin is
+    unspecified (only differences are meaningful).  ``sleep(dt)`` lets
+    ``dt`` seconds *of this clock's time* pass.
+    """
+
+    def now(self) -> float:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def sleep(self, dt: float) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
 
 
 class VirtualClock(Clock):

@@ -26,6 +26,14 @@ from repro.core import (
 )
 from repro.core.mapping import SpecMapping, mocket_action, traced_field
 from repro.core.testgen import label, scenario_case
+from repro.faults import (
+    ChaosKind,
+    FaultConfig,
+    FaultInjection,
+    FaultPlan,
+    FaultRunner,
+    InjectionMode,
+)
 from repro.runtime import Cluster, Node
 from repro.specs import build_example_spec
 from repro.systems.catalog import RUNNER, TARGETS, get_model, kit
@@ -37,10 +45,12 @@ from repro.systems.toycache import (
 from repro.tlaplus import Specification, check
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-#: the files the grep guard reads: the testbed, the threaded runtime and
-#: the four systems (whose inbox loops are ``Node.serve_inbox``)
+#: the files the grep guard reads: the testbed, the fault layer, the
+#: threaded runtime and the four systems (whose inbox loops are
+#: ``Node.serve_inbox``)
 GUARDED = sorted(
     list((SRC / "core" / "testbed").glob("*.py"))
+    + list((SRC / "faults").glob("*.py"))
     + [SRC / "runtime" / name
        for name in ("node.py", "cluster.py", "network.py")]
     + [SRC / "systems" / system / "node.py"
@@ -168,6 +178,28 @@ class TestUndeclaredBlockingDegradesToTheBounds:
         assert result.divergence.kind is DivergenceKind.MISSING_ACTION
         assert time.monotonic() - started >= 0.2
 
+    def test_convergence_behind_a_sleeper_ends_on_the_ceiling(self):
+        def put_then_sleep(node, v):
+            node.put(v)
+            time.sleep(1.0)             # not a park point: stays counted
+
+        tester, case = _put_system(put_then_sleep, RUNNER)
+        # bounce the node after the last step: its fresh incarnation
+        # never re-converges, and the sleeper keeps the cluster busy
+        plan = FaultPlan("ceiling", [FaultInjection(
+            InjectionMode.CHAOS, ChaosKind.BOUNCE.value,
+            case_id=case.case_id, step_index=len(case.steps),
+            params={"node": "s"})], chaos=True)
+        runner = FaultRunner(tester.mapping, tester.graph,
+                             tester.cluster_factory, plan, RUNNER,
+                             FaultConfig(convergence_timeout=0.2))
+        result = runner.run_case(case)
+        assert result.divergence.kind is DivergenceKind.INCONSISTENT_STATE
+        assert "within 0.2s" in result.divergence.detail
+        # the ceiling, not the sleeper, ended the wait; teardown's
+        # request join outlasts the rest of the sleep
+        assert 0.2 <= result.phase_seconds["check"] < 1.0
+
 
 class TestTruncatedGraph:
     def test_cases_cut_off_by_max_states_do_not_diverge(self):
@@ -281,9 +313,10 @@ def _code_lines(path):
 
 
 class TestTheSleepsStayGone:
-    """Grep guard: the testbed, the threaded runtime and the systems'
-    inbox loops pace nothing with wall time.  The only waits left are
-    condition/event waits bounded by a documented ceiling."""
+    """Grep guard: the testbed, the fault layer, the threaded runtime
+    and the systems' inbox loops pace nothing with wall time.  The only
+    waits left are condition/event waits bounded by a documented
+    ceiling."""
 
     #: wall-time pacing: a sleep, a poll with a literal sub-second
     #: period, a join used as a pause
@@ -294,12 +327,9 @@ class TestTheSleepsStayGone:
 
     #: pyxraft's standalone timer thread never runs under the testbed
     #: (it returns when ``mocket_controlled``) and is the documented
-    #: example of undeclared blocking; the fault runner's convergence
-    #: check re-compares on its injected clock until a bounded window
-    #: closes (``FaultConfig.convergence_timeout``)
+    #: example of undeclared blocking
     ALLOWED = {("pyxraft/node.py", "time.sleep(base/10)"),
-               ("pyxraft/node.py", "time.sleep(base/3)"),
-               ("testbed/statecheck.py", "clock.sleep(poll)")}
+               ("pyxraft/node.py", "time.sleep(base/3)")}
 
     def test_no_sleep_poll_or_pacing_join(self):
         offenders = []
@@ -314,4 +344,5 @@ class TestTheSleepsStayGone:
     def test_the_guard_sees_the_files_it_names(self):
         assert all(path.is_file() for path in GUARDED)
         assert {"runner.py", "scheduler.py", "network.py", "node.py",
-                "cluster.py", "server.py"} <= {p.name for p in GUARDED}
+                "cluster.py", "server.py", "nemesis.py",
+                "shrink.py"} <= {p.name for p in GUARDED}

@@ -41,7 +41,7 @@ GUARD_OPTS = dict(
 
 _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
                        quiesce_delay=0.05)
-_FAULTS = FaultConfig(retries=2, backoff=0.1, convergence_timeout=1.0)
+_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 def build_kit(workers=1):

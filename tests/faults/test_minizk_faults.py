@@ -24,7 +24,7 @@ SERVERS = ("n1", "n2", "n3")
 
 _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
                        quiesce_delay=0.05)
-_FAULTS = FaultConfig(retries=2, backoff=0.05, convergence_timeout=1.0)
+_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ from repro.tlaplus import check
 
 _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
                        quiesce_delay=0.05)
-_FAULTS = FaultConfig(retries=2, backoff=0.05, convergence_timeout=1.0)
+_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 def fake_injections(n):

@@ -28,7 +28,7 @@ from repro.tlaplus import check
 
 _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
                        quiesce_delay=0.05)
-_FAULTS = FaultConfig(retries=2, backoff=0.05, convergence_timeout=1.0)
+_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 _KIT_SCRIPT = """
 from repro.core import RunnerConfig, generate_test_cases
@@ -51,7 +51,7 @@ plan = plan_faults(graph, suite, mapping, "1", factory().node_ids,
 result = shrink_plan(
     plan, graph, suite, mapping, factory,
     RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05),
-    FaultConfig(retries=2, backoff=0.05, convergence_timeout=1.0))
+    FaultConfig(convergence_timeout=1.0))
 print(result.minimal.to_json(), end="")
 print("===")
 import io

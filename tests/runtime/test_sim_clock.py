@@ -7,8 +7,7 @@ on, so it is pinned here event by event.
 
 import pytest
 
-from repro.runtime import WALL_CLOCK, Clock, WallClock
-from repro.runtime.sim import SimScheduler, VirtualClock
+from repro.runtime.sim import Clock, SimScheduler, VirtualClock
 
 
 class TestVirtualClock:
@@ -50,7 +49,6 @@ class TestVirtualClock:
 
     def test_is_a_clock(self):
         assert isinstance(VirtualClock(), Clock)
-        assert isinstance(WALL_CLOCK, WallClock)
 
 
 class TestSchedulerOrdering:
