@@ -6,8 +6,10 @@ PathEC suite — plus what ``mocket faults|fuzz|conform`` and the
 benchmark's equivalence stage do with a checked graph: ``canonicalize``,
 ``to_dot`` and ``graphs_equivalent`` against a second ``check`` of the
 same spec.  It prints, per model, the stage wall times (unprofiled, best
-of ``--repeats``), the check rate, and the profile's top functions by
-internal time.  The committed listings in ``benchmarks/profiles/`` were
+of ``--repeats``), the check rate, the profile's top functions by
+internal time, and an untimed ``tracemalloc`` pass: the live MB after
+check, POR and PathEC, after iterating every step of both suites, and
+the peak.  The committed listings in ``benchmarks/profiles/`` were
 produced by this script.
 
 Usage::
@@ -28,6 +30,7 @@ import platform
 import pstats
 import sys
 import time
+import tracemalloc
 
 from repro.analysis.effects import analyze_spec
 from repro.core import generate_test_cases
@@ -67,6 +70,32 @@ def rung(spec) -> dict:
     return times
 
 
+def memory(spec) -> str:
+    """Live traced MB along one untimed rung, and the peak."""
+    mb = 1 << 20
+    live = []
+    tracemalloc.start()
+    try:
+        graph = check(spec).graph
+        live.append(("check", tracemalloc.get_traced_memory()[0]))
+        por = generate_test_cases(graph, por=True, seed=0,
+                                  independence=analyze_spec(spec).independence())
+        live.append(("por", tracemalloc.get_traced_memory()[0]))
+        pathec = generate_test_cases(graph, por=False)
+        live.append(("pathec", tracemalloc.get_traced_memory()[0]))
+        steps = sum(1 for suite in (por, pathec) for case in suite
+                    for _step in case.steps)
+        current, peak = tracemalloc.get_traced_memory()
+        live.append(("iterated", current))
+    finally:
+        tracemalloc.stop()
+    per_state = live[0][1] / graph.num_states
+    return ("   memory MB: " + ", ".join(f"{stage} {size / mb:.1f}"
+                                         for stage, size in live)
+            + f", peak {peak / mb:.1f}; {per_state:,.0f} B/state after "
+            f"check; {steps} steps iterated (tracemalloc, untimed)\n")
+
+
 def profile_model(name: str, top: int, repeats: int) -> str:
     build = get_model(name)
     runs = [rung(build()) for _ in range(repeats)]
@@ -83,6 +112,7 @@ def profile_model(name: str, top: int, repeats: int) -> str:
         f"{key} {best[key]:.3f}" for key in STAGES))
     out.write(f"; check {best['states'] / best['check_s']:,.0f} states/s "
               f"(best of {repeats}, unprofiled)\n")
+    out.write(memory(build()))
     stats = pstats.Stats(profiler, stream=out).strip_dirs()
     stats.sort_stats("tottime").print_stats(top)
     return out.getvalue()

@@ -9,13 +9,15 @@ the state checker compares runtime state with each expected state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+import operator
+from collections.abc import Sequence
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ...tlaplus.dot import decode_value, encode_value
 from ...tlaplus.graph import Edge, StateGraph
 from ...tlaplus.state import ActionLabel, State
 
-__all__ = ["TestStep", "TestCase", "TestSuite"]
+__all__ = ["TestStep", "PathSteps", "TestCase", "TestSuite"]
 
 
 class TestStep:
@@ -40,26 +42,66 @@ class TestStep:
         return (self.label, self.expected_state) == (other.label, other.expected_state)
 
 
+class PathSteps(Sequence):
+    """A path-backed case's steps: a read-only view over its edge path.
+
+    ``len`` is O(1); indexing, slicing and iteration build each
+    :class:`TestStep` from the shared graph on demand and never keep
+    it, so a suite holds its edge paths and nothing more.  A slice is a
+    view too.
+    """
+
+    __slots__ = ("graph", "path")
+
+    def __init__(self, graph: StateGraph, path: Tuple[Edge, ...]):
+        self.graph = graph
+        self.path = path
+
+    def _step(self, edge: Edge) -> TestStep:
+        return TestStep(edge.label, self.graph.state_of(edge.dst),
+                        src_id=edge.src, dst_id=edge.dst)
+
+    def __len__(self) -> int:
+        return len(self.path)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PathSteps(self.graph, self.path[index])
+        return self._step(self.path[index])
+
+    def __iter__(self) -> Iterator[TestStep]:
+        return map(self._step, self.path)
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, (list, tuple, PathSteps)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class TestCase:
     """An executable test case: initial state + action/state sequence.
 
     A case generated from the verified graph (:meth:`from_edges`) is
-    just its edge path over the shared :class:`StateGraph`; ``steps``
-    are materialised from the graph on first access.  A case crosses a
-    process boundary (pickling) as its steps, never with the graph.
+    just its edge path over the shared :class:`StateGraph`: its
+    ``steps`` are a :class:`PathSteps` view, built on access and never
+    cached.  A case crosses a process boundary (pickling) as its steps,
+    never with the graph.
     """
 
     __test__ = False  # not a pytest class, despite the name
+    __slots__ = ("case_id", "initial_state", "initial_id", "steps")
 
     def __init__(self, case_id: int, initial_state: State, steps: Sequence[TestStep],
                  initial_id: int = 0):
         self.case_id = case_id
         self.initial_state = initial_state
         self.initial_id = initial_id
-        self._steps: Optional[List[TestStep]] = list(steps)
-        # the unmaterialised form: an edge path over a shared graph
-        self._graph: Optional[StateGraph] = None
-        self._path: Sequence[Edge] = ()
+        # the scheduled actions with their expected states: a view is
+        # immutable and kept, any other sequence is copied
+        self.steps: Sequence[TestStep] = (
+            steps if type(steps) is PathSteps else list(steps))
 
     @classmethod
     def from_edges(cls, case_id: int, graph: StateGraph, edges: Sequence[Edge]) -> "TestCase":
@@ -76,28 +118,17 @@ class TestCase:
             if edge.src != previous:
                 raise ValueError(f"edge path is not contiguous at {edge!r}")
             previous = edge.dst
-        case = cls(case_id, graph.state_of(initial_id), (), initial_id=initial_id)
-        case._steps, case._graph, case._path = None, graph, tuple(edges)
-        return case
+        return cls(case_id, graph.state_of(initial_id),
+                   PathSteps(graph, tuple(edges)), initial_id=initial_id)
 
-    @property
-    def steps(self) -> List[TestStep]:
-        """The scheduled actions with their expected states."""
-        if self._steps is None:
-            state_of = self._graph.state_of
-            self._steps = [TestStep(edge.label, state_of(edge.dst),
-                                    src_id=edge.src, dst_id=edge.dst)
-                           for edge in self._path]
-            self._graph, self._path = None, ()
-        return self._steps
-
-    def __getstate__(self) -> Dict[str, Any]:
-        steps = self.steps  # materialising lets go of the graph
-        return dict(self.__dict__, _steps=steps)
+    def __reduce__(self):
+        # ship the steps, never the graph a view reads them from
+        return (TestCase, (self.case_id, self.initial_state,
+                           list(self.steps), self.initial_id))
 
     # -- queries ----------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._path) if self._steps is None else len(self._steps)
+        return len(self.steps)
 
     def __iter__(self) -> Iterator[TestStep]:
         return iter(self.steps)
@@ -108,17 +139,25 @@ class TestCase:
     def action_names(self) -> List[str]:
         return [step.label.name for step in self.steps]
 
+    def node_ids(self) -> List[int]:
+        """The node each step leaves, then the node the case ends in;
+        ``-1`` marks a hand-built step without graph provenance."""
+        steps = self.steps
+        if type(steps) is PathSteps:
+            return [edge.src for edge in steps.path] + [steps.path[-1].dst]
+        return [step.src_id for step in steps] + [self.final_id]
+
     @property
     def final_state(self) -> State:
-        if self._steps is None:
-            return self._graph.state_of(self.final_id)
-        return self._steps[-1].expected_state if self._steps else self.initial_state
+        steps = self.steps
+        return steps[-1].expected_state if steps else self.initial_state
 
     @property
     def final_id(self) -> int:
-        if self._steps is None:
-            return self._path[-1].dst
-        return self._steps[-1].dst_id if self._steps else self.initial_id
+        steps = self.steps
+        if type(steps) is PathSteps:
+            return steps.path[-1].dst
+        return steps[-1].dst_id if steps else self.initial_id
 
     def describe(self) -> str:
         """A one-line schedule summary: ``s0 -> A -> s1 -> B -> s2``."""

@@ -164,7 +164,7 @@ def _modeled_violations(injection: FaultInjection, where: str, by_id,
         return problems
     # the spliced edge must leave the state the base path reaches at
     # the splice position
-    source_ids = [step.src_id for step in base.steps] + [base.final_id]
+    source_ids = base.node_ids()
     expected_src = source_ids[injection.step_index]
     if expected_src >= 0 and injection.edge.src != expected_src:
         problems.append(

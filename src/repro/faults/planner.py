@@ -231,7 +231,7 @@ def _choose_modeled(graph: StateGraph, case: TestCase, mapping: SpecMapping,
                     fault_names, kind_use: Dict[str, int],
                     rng: random.Random) -> Optional[Tuple[int, Edge, str]]:
     """Pick one (position, fault edge, kind) splice point for ``case``."""
-    source_ids = [step.src_id for step in case.steps] + [case.final_id]
+    source_ids = case.node_ids()
     if any(sid < 0 for sid in source_ids):
         return None  # suite lacks graph provenance (hand-built steps)
     by_kind: Dict[str, List[Tuple[int, Edge]]] = {}

@@ -214,7 +214,7 @@ class Mutator:
         """Splice a fresh verified fault edge, aimed at uncovered ones."""
         candidates: List[Tuple[TestCase, int, object, bool]] = []
         for case in self.suite:
-            source_ids = [step.src_id for step in case.steps] + [case.final_id]
+            source_ids = case.node_ids()
             if any(sid < 0 for sid in source_ids):
                 continue
             for splice_at, sid in enumerate(source_ids):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .state import ActionLabel, State
+from .values import ValueTable
 
 __all__ = ["Edge", "StateGraph"]
 
@@ -48,15 +49,19 @@ class StateGraph:
     :class:`State`.  Parallel edges with distinct labels are kept (two
     different actions may connect the same pair of states), but the pair
     ``(src, dst, label)`` is unique.
+
+    A new state's values are hash-consed into the graph's own
+    :class:`ValueTable`, so every alike value the graph holds is one
+    object; the stored state may therefore be an equal copy of the one
+    passed to :meth:`add_state`.
     """
 
     def __init__(self, spec_name: str = ""):
         self.spec_name = spec_name
         self._states: List[State] = []
         self._ids: Dict[State, int] = {}
+        self._values = ValueTable()
         self._out: Dict[int, List[Edge]] = {}
-        self._in: Dict[int, List[Edge]] = {}
-        self._edge_keys: Set[Tuple[int, int, ActionLabel]] = set()
         self._edges: List[Edge] = []
         self.initial_ids: List[int] = []
         # states the checker could not fully expand under its
@@ -69,24 +74,25 @@ class StateGraph:
         node_id = self._ids.get(state)
         if node_id is None:
             node_id = len(self._states)
+            state = state._interned(self._values)
             self._states.append(state)
             self._ids[state] = node_id
             self._out[node_id] = []
-            self._in[node_id] = []
         if initial and node_id not in self.initial_ids:
             self.initial_ids.append(node_id)
         return node_id
 
     def add_edge(self, src: int, dst: int, label: ActionLabel) -> Optional[Edge]:
-        """Add ``src --label--> dst``; duplicate (src, dst, label) is a no-op."""
-        key = (src, dst, label)
-        if key in self._edge_keys:
+        """Add ``src --label--> dst``; duplicate (src, dst, label) is a no-op.
+
+        The duplicate check scans ``src``'s own out-edges: out-degrees
+        are small, and a graph-wide key set would cost more than the
+        edges themselves."""
+        if self.edge_between(src, dst, label) is not None:
             return None
         edge = Edge(src, dst, label, index=len(self._edges))
-        self._edge_keys.add(key)
         self._edges.append(edge)
         self._out[src].append(edge)
-        self._in[dst].append(edge)
         return edge
 
     # -- queries ------------------------------------------------------------------
@@ -117,9 +123,6 @@ class StateGraph:
         """Every node's out-edges in insertion order, *not* copied: for
         passes that read the whole graph without changing it."""
         return self._out
-
-    def in_edges(self, node_id: int) -> List[Edge]:
-        return list(self._in[node_id])
 
     def successors(self, node_id: int) -> List[int]:
         return [edge.dst for edge in self._out[node_id]]

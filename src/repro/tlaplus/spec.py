@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 from .errors import ActionError, SpecError
 from .state import ActionLabel, State
-from .values import FrozenDict, freeze
+from .values import ValueTable, freeze
 
 __all__ = [
     "VarKind",
@@ -193,57 +193,34 @@ class LabelTable:
     An ``in_flight`` domain yields the state's own message objects, and
     one message reaches ``enabled`` as many equal objects built along
     different paths.  A binding is looked up by the identity of its
-    values first, then by value: it reuses a label only when its values
-    are equal to the label's params *and* :func:`_alike` them, so labels
+    values first, then by value through a :class:`ValueTable`: labels
+    share an object only when their params are :func:`alike`, so labels
     that compare equal but render differently (``1`` vs ``True`` in a
     message field) stay apart.  Each entry holds the values whose
     ``id``s key it, so no id is reused while the table lives.  The
     checker makes one table per run.
     """
 
-    __slots__ = ("_by_id", "_by_value")
+    __slots__ = ("_by_id", "_by_value", "_values")
 
     def __init__(self) -> None:
         self._by_id: Dict[tuple, Tuple[tuple, ActionLabel]] = {}
-        self._by_value: Dict[tuple, ActionLabel] = {}
+        # id of an interned ``(name, *values)`` -> its label
+        self._by_value: Dict[int, ActionLabel] = {}
+        self._values = ValueTable()
 
     def intern(self, name: str, binding: Dict[str, Any]) -> ActionLabel:
         key = (name, *map(id, binding.values()))
         entry = self._by_id.get(key)
         if entry is None:
             values = tuple(binding.values())
-            frozen = (name, *map(freeze, values))
-            label = self._by_value.get(frozen)
-            if label is None or not all(map(_alike, frozen[1:],
-                                            label.params.values())):
-                label = ActionLabel(name, binding)
-                self._by_value.setdefault(frozen, label)
+            frozen = self._values.intern((name, *map(freeze, values)))
+            label = self._by_value.get(id(frozen))
+            if label is None:
+                label = self._by_value[id(frozen)] = ActionLabel(
+                    name, dict(zip(binding, frozen[1:])))
             entry = self._by_id[key] = (values, label)
         return entry[1]
-
-
-#: scalars whose equal values of one type always ``repr`` alike
-_PLAIN_SCALARS = frozenset({type(None), bool, int, str, bytes})
-
-
-def _alike(one: Any, other: Any) -> bool:
-    """Equal, with the same scalar types and the same container iteration
-    order throughout, so that every rendering of the two is the same."""
-    if one is other:
-        return True
-    kind = type(one)
-    if kind is not type(other):
-        return False
-    if kind is FrozenDict:
-        return len(one) == len(other) and all(
-            _alike(key, other_key) and _alike(value, other_value)
-            for (key, value), (other_key, other_value)
-            in zip(one.items(), other.items()))
-    if kind is tuple or kind is frozenset:
-        return len(one) == len(other) and all(map(_alike, one, other))
-    if kind in _PLAIN_SCALARS:
-        return one == other
-    return one == other and repr(one) == repr(other)
 
 
 class Specification:

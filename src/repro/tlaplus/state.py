@@ -8,9 +8,10 @@ parameter binding that fired it (e.g. ``RequestVote(i=n1, j=n2)``).
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
-from .values import FrozenDict, freeze, thaw
+from .values import FrozenDict, ValueTable, freeze, thaw
 
 __all__ = ["State", "ActionLabel"]
 
@@ -86,6 +87,18 @@ class State:
         successor = object.__new__(State)
         successor._bind(FrozenDict(merged))
         return successor
+
+    def _interned(self, table: ValueTable) -> "State":
+        """This state with every value replaced by its representative in
+        ``table``; ``self`` when every value already is one."""
+        variables = self.__dict__
+        shared = table.intern_items(variables)
+        if not any(map(is_not, shared.values(), variables.values())):
+            return self
+        interned = object.__new__(State)
+        interned._bind(FrozenDict._wrap(shared, self._vars._hash))
+        object.__setattr__(interned, "_hash", self._hash)
+        return interned
 
     # -- identity -----------------------------------------------------------------
     def __reduce__(self):

@@ -19,11 +19,14 @@ provides:
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
-from typing import Any, Dict, Iterator, Tuple
+from operator import is_, is_not
+from typing import Any, Dict, Iterator, Optional
 
 __all__ = [
     "FrozenDict",
     "SCALAR_TYPES",
+    "ValueTable",
+    "alike",
     "freeze",
     "thaw",
     "EMPTY_BAG",
@@ -58,6 +61,15 @@ class FrozenDict:
         data: Dict[Any, Any] = dict(*args, **kwargs)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _wrap(cls, data: Dict[Any, Any], hash_: Optional[int]) -> "FrozenDict":
+        """A ``FrozenDict`` around ``data`` itself, not a copy: the caller
+        hands ``data`` over.  ``hash_`` is an equal value's hash, or None."""
+        wrapped = cls.__new__(cls)
+        object.__setattr__(wrapped, "_data", data)
+        object.__setattr__(wrapped, "_hash", hash_)
+        return wrapped
 
     # -- Mapping interface -------------------------------------------------
     def __getitem__(self, key: Any) -> Any:
@@ -196,6 +208,118 @@ def thaw(value: Any) -> Any:
             out_set.add(thawed if isinstance(thawed, Hashable) else val)
         return out_set
     return value
+
+
+#: scalars whose equal values of one type always ``repr`` alike
+_PLAIN_SCALARS = frozenset({type(None), bool, int, str, bytes})
+
+
+def alike(one: Any, other: Any) -> bool:
+    """Equal, with the same scalar types and the same container iteration
+    order throughout, so that every rendering of the two is the same.
+
+    ``1 == True``, ``0.0 == -0.0`` and two equal dicts built in another
+    order are equal but not alike: one may stand in for the other in a
+    hash lookup, never in an output.
+    """
+    if one is other:
+        return True
+    kind = type(one)
+    if kind is not type(other):
+        return False
+    # hash-consed children are one object: each container settles that
+    # case in C before it compares child by child
+    if kind is FrozenDict:
+        mine, theirs = one._data, other._data
+        return len(mine) == len(theirs) and (
+            (all(map(is_, mine, theirs))
+             and all(map(is_, mine.values(), theirs.values())))
+            or all(alike(key, other_key) and alike(value, other_value)
+                   for (key, value), (other_key, other_value)
+                   in zip(mine.items(), theirs.items())))
+    if kind is tuple or kind is frozenset:
+        return len(one) == len(other) and (
+            all(map(is_, one, other)) or all(map(alike, one, other)))
+    if kind in _PLAIN_SCALARS:
+        return one == other
+    return one == other and repr(one) == repr(other)
+
+
+_CONTAINERS = frozenset({FrozenDict, tuple, frozenset})
+
+
+class ValueTable:
+    """Hash-consed frozen values: one representative per :func:`alike` class.
+
+    :meth:`intern` returns the representative of a value's alike class,
+    and rebuilds a value of a new class from representatives first, so
+    every alike sub-value becomes one shared object: it is hashed once
+    and compares by identity.  ``FrozenDict`` keys and values and tuple
+    items are interned; a frozenset is interned whole, its elements as
+    they are (rebuilding it could change its iteration order); scalars
+    and other leaves stand for themselves.  A rebuilt container is a
+    new object; none is ever mutated.
+
+    The table is keyed by value, so equal values that are not alike
+    share a slot: it holds the first representative, or the list of
+    them once a second alike class turns up.  Frozen values are never
+    lists, so the two cannot be confused.  A second index by ``id``
+    answers "is this already a representative?" without hashing; it
+    holds each representative, so no id is reused while the table
+    lives.  A table belongs to one graph (or one exploration) and dies
+    with it.
+    """
+
+    __slots__ = ("_reps", "_by_id")
+
+    def __init__(self) -> None:
+        self._reps: Dict[Any, Any] = {}   # value -> representative(s)
+        self._by_id: Dict[int, Any] = {}  # id -> representative
+
+    def intern(self, value: Any) -> Any:
+        """The representative of ``value``'s alike class (first seen wins)."""
+        kind = type(value)
+        if kind not in _CONTAINERS or self._by_id.get(id(value)) is value:
+            return value          # a scalar costs less than its table slot
+        reps = self._reps
+        entry = reps.get(value)
+        bucket = entry if type(entry) is list else (entry,)
+        if entry is not None:
+            for rep in bucket:
+                if alike(value, rep):
+                    return rep
+        # a new alike class: made of representatives, then one itself
+        if kind is FrozenDict:
+            old = value._data
+            data = self.intern_items(old)
+            if (any(map(is_not, data, old))
+                    or any(map(is_not, data.values(), old.values()))):
+                value = FrozenDict._wrap(data, value._hash)
+        elif kind is tuple:
+            items = tuple(map(self.intern, value))
+            if any(map(is_not, items, value)):
+                value = items
+        if entry is None:
+            reps[value] = value
+        elif bucket is entry:
+            entry.append(value)
+        else:
+            reps[value] = [entry, value]
+        self._by_id[id(value)] = value
+        return value
+
+    def intern_items(self, data: Dict[Any, Any]) -> Dict[Any, Any]:
+        """A copy of ``data`` with every key and value interned.
+
+        Scalars and values that already are representatives are passed
+        over inline: they are most of a state, and a call each would
+        cost more than the interning."""
+        intern, by_id, containers = self.intern, self._by_id, _CONTAINERS
+        return {(key if type(key) not in containers or by_id.get(id(key)) is key
+                 else intern(key)):
+                (item if type(item) not in containers or by_id.get(id(item)) is item
+                 else intern(item))
+                for key, item in data.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,5 @@ def test_profile_script_runs(capsys):
     for stage in profile_cold_path.STAGES:
         assert f" {stage} " in out
     assert "Ordered by: internal time" in out
+    assert ("   memory MB: check " in out and ", peak " in out
+            and "B/state after check; 56 steps iterated" in out)

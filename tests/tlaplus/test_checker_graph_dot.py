@@ -178,7 +178,7 @@ class TestStateGraph:
     def test_queries(self):
         graph, a, b = self._small_graph()
         assert graph.successors(a) == [b]
-        assert [e.src for e in graph.in_edges(a)] == [b]
+        assert [e.src for e in graph.edges() if e.dst == a] == [b]
         assert graph.enabled_labels(a) == [ActionLabel("Incr")]
         assert graph.edge_between(a, b, ActionLabel("Incr")) is not None
         assert graph.edge_between(a, b, ActionLabel("Nope")) is None
