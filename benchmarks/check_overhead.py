@@ -36,6 +36,7 @@ from typing import Dict, Optional
 from repro import obs
 from repro.specs import build_example_spec
 from repro.tlaplus import check
+from repro.tlaplus.checker import run_table
 from repro.tlaplus.graph import StateGraph
 
 
@@ -56,10 +57,11 @@ def _seed_check(spec) -> StateGraph:
             depth[node_id] = 0
             frontier.append(node_id)
             spec.check_invariants(state)
+    table = run_table(spec, graph)
     while frontier:
         node_id = frontier.popleft()
         state = graph.state_of(node_id)
-        for label, successor in spec.enabled(state):
+        for label, successor in spec.enabled(state, table):
             succ_id = graph.id_of(successor)
             is_new = succ_id is None
             if is_new:

@@ -6,10 +6,10 @@ PathEC suite — plus what ``mocket faults|fuzz|conform`` and the
 benchmark's equivalence stage do with a checked graph: ``canonicalize``,
 ``to_dot`` and ``graphs_equivalent`` against a second ``check`` of the
 same spec.  It prints, per model, the stage wall times (unprofiled, best
-of ``--repeats``), the check rate, the profile's top functions by
-internal time, and an untimed ``tracemalloc`` pass: the live MB after
-check, POR and PathEC, after iterating every step of both suites, and
-the peak.  The committed listings in ``benchmarks/profiles/`` were
+of ``--repeats``), the check rate, the action memo's hit ratio and entry
+count, the profile's top functions by internal time, and an untimed
+``tracemalloc`` pass: the live MB after check, POR and PathEC, after
+iterating every step of both suites, and the peak.  The committed listings in ``benchmarks/profiles/`` were
 produced by this script.
 
 Usage::
@@ -54,7 +54,8 @@ def rung(spec) -> dict:
         times[stage] = time.perf_counter() - start
         return result
 
-    graph = timed("check_s", lambda: check(spec).graph)
+    result = timed("check_s", lambda: check(spec))
+    graph = result.graph
     independence = timed("independence_s",
                          lambda: analyze_spec(spec).independence())
     por = timed("por_s", lambda: generate_test_cases(
@@ -66,7 +67,7 @@ def rung(spec) -> dict:
     timed("equiv_s", lambda: graphs_equivalent(graph, again))
     times.update(states=graph.num_states, edges=graph.num_edges,
                  por_actions=por.total_actions(),
-                 pathec_actions=pathec.total_actions())
+                 pathec_actions=pathec.total_actions(), **result.memo)
     return times
 
 
@@ -112,6 +113,10 @@ def profile_model(name: str, top: int, repeats: int) -> str:
         f"{key} {best[key]:.3f}" for key in STAGES))
     out.write(f"; check {best['states'] / best['check_s']:,.0f} states/s "
               f"(best of {repeats}, unprofiled)\n")
+    pairs = best["memo_hits"] + best["memo_misses"]
+    out.write(f"   action memo: {best['memo_hits'] / pairs:.1%} hit of "
+              f"{pairs:,} memoized (state, action) pairs, "
+              f"{best['memo_entries']:,} entries\n")
     out.write(memory(build()))
     stats = pstats.Stats(profiler, stream=out).strip_dirs()
     stats.sort_stats("tottime").print_stats(top)

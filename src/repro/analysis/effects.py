@@ -41,10 +41,12 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set,
+    Tuple,
 )
 
 from ..tlaplus.spec import ActionDecl, Specification
+from ..tlaplus.state import _METHODS as _STATE_METHODS
 
 __all__ = [
     "PurityViolation",
@@ -53,6 +55,7 @@ __all__ = [
     "IndependenceRelation",
     "analyze_spec",
     "analyze_action",
+    "read_footprints",
 ]
 
 # modules whose calls make an action nondeterministic across runs
@@ -189,34 +192,51 @@ class SpecEffects:
 
 # -- source retrieval -----------------------------------------------------------
 
+#: id(code) -> (code, its node and start line, or None): a code object's
+#: source cannot change under it, so each is parsed once per process
+_NODES: Dict[int, Tuple[Any, Optional[Tuple[ast.AST, int]]]] = {}
+
+
 def _fn_node(fn: Callable) -> Optional[Tuple[ast.AST, int]]:
     """The FunctionDef/Lambda node of ``fn`` plus its absolute start line.
 
     Returns None when the source cannot be retrieved (interactive
-    definitions, builtins); callers must then treat effects as unknown.
+    definitions, builtins, wrappers); callers must then treat effects as
+    unknown.
     """
-    cached = getattr(fn, "_mocket_effects_node", None)
-    if cached is not None:
-        return cached
+    if hasattr(fn, "__wrapped__"):
+        # ``inspect`` would return the wrapped function's source, which
+        # says nothing of what the wrapper itself reads
+        return None
+    code = getattr(fn, "__code__", None)
+    cached = _NODES.get(id(code))
+    if cached is not None and cached[0] is code:
+        return cached[1]
+    result = _parse_fn(fn)
+    if code is not None:
+        _NODES[id(code)] = (code, result)
+    return result
+
+
+def _parse_fn(fn: Callable) -> Optional[Tuple[ast.AST, int]]:
     try:
         lines, start = inspect.getsourcelines(fn)
         tree = ast.parse(textwrap.dedent("".join(lines)))
     except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
         return None
-    node: Optional[ast.AST] = None
-    for candidate in ast.walk(tree):
-        if isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-            node = candidate
-            break
-    if node is None:
+    nodes = [candidate for candidate in ast.walk(tree)
+             if isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda))]
+    if not nodes:
         return None
-    result = (node, start)
-    try:
-        fn._mocket_effects_node = result
-    except AttributeError:
-        pass
-    return result
+    node = nodes[0]
+    if isinstance(node, ast.Lambda) and any(
+            isinstance(other, ast.Lambda) and other.lineno == node.lineno
+            for other in nodes[1:]):
+        # a lambda's source is its whole line: with two on that line,
+        # nothing says which one ``fn`` is
+        return None
+    return node, start
 
 
 def _resolver_env(fn: Callable) -> Dict[str, Any]:
@@ -236,6 +256,154 @@ def _resolver_env(fn: Callable) -> Dict[str, Any]:
 def _param_names(node: ast.AST) -> List[str]:
     args = node.args
     return [a.arg for a in args.posonlyargs + args.args]
+
+
+# -- read ops -------------------------------------------------------------
+
+#: (id(node), state name, const name) -> (node, ops): each function node's
+#: read ops, found by walking its AST once per process
+_READ_OPS: Dict[Tuple[int, Optional[str], Optional[str]],
+                Tuple[ast.AST, Tuple[tuple, ...]]] = {}
+
+
+def _read_ops(fnode: ast.AST, state_name: Optional[str],
+              const_name: Optional[str]) -> Tuple[tuple, ...]:
+    """What ``fnode`` reads, as ops in AST walk order.
+
+    An op is ``("read", var)``, ``("const", name)``, ``("unknown",)``,
+    ``("violation", kind, detail, node)`` or ``("call", func,
+    state_positions, const_positions)`` for a call that receives the
+    bare state.  Ops depend on the AST alone; the extractor resolves the
+    calls against each action's own names when it replays them.
+    """
+    key = (id(fnode), state_name, const_name)
+    cached = _READ_OPS.get(key)
+    if cached is not None and cached[0] is fnode:
+        return cached[1]
+    ops = tuple(_walk_reads(fnode, state_name, const_name))
+    _READ_OPS[key] = (fnode, ops)
+    return ops
+
+
+def _walk_reads(fnode: ast.AST, state_name: Optional[str],
+                const_name: Optional[str]) -> Iterator[tuple]:
+    consumed: Set[int] = set()   # state Name nodes accounted for
+    for node in ast.walk(fnode):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == state_name:
+            consumed.add(id(node.value))
+            if isinstance(node.ctx, (ast.Store, ast.Del)):
+                yield ("violation", "state-mutation",
+                       f"assignment to state.{node.attr}", node)
+            elif node.attr in _STATE_METHODS or node.attr.startswith("_"):
+                # ``state.get("x")``, ``state.items()``, ``state._vars``:
+                # a State method or internal, not a variable
+                yield ("unknown",)
+            else:
+                yield ("read", node.attr)
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == state_name:
+            consumed.add(id(node.value))
+            sl = node.slice
+            if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
+                    yield ("violation", "state-mutation",
+                           f"assignment to state[{sl.value!r}]", node)
+                else:
+                    yield ("read", sl.value)
+            else:
+                yield ("unknown",)
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == const_name:
+            sl = node.slice
+            if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
+                yield ("const", sl.value)
+        elif isinstance(node, ast.Call):
+            yield from _call_ops(node, state_name, const_name, consumed)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            yield from _iteration_ops(node.iter)
+        elif isinstance(node, ast.comprehension):
+            yield from _iteration_ops(node.iter)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if _rooted_at(target, state_name):
+                    yield ("violation", "state-mutation",
+                           "assignment into an object reached through "
+                           "state", node)
+    # const.get("X")
+    for node in ast.walk(fnode):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == const_name \
+                and node.func.attr == "get" \
+                and node.args and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[0].value, str):
+            yield ("const", node.args[0].value)
+    # any remaining bare use of the state name escapes the analysis
+    for node in ast.walk(fnode):
+        if isinstance(node, ast.Name) and node.id == state_name \
+                and id(node) not in consumed:
+            yield ("unknown",)
+
+
+def _call_ops(node: ast.Call, state_name: Optional[str],
+              const_name: Optional[str], consumed: Set[int]) -> Iterator[tuple]:
+    func = node.func
+    # nondeterministic module calls
+    root = _attr_root(func)
+    if isinstance(func, ast.Attribute) and root in _IMPURE_ROOTS:
+        yield ("violation", "impure-call", f"call into the {root!r} module",
+               node)
+    elif isinstance(func, ast.Name) and func.id in _IMPURE_NAMES:
+        yield ("violation", "impure-call",
+               f"call to nondeterministic {func.id!r}()", node)
+    # in-place mutation of an object reached through state
+    if isinstance(func, ast.Attribute) and func.attr in _MUTATORS \
+            and _rooted_at(func.value, state_name):
+        yield ("violation", "state-mutation",
+               f".{func.attr}() on an object reached through state", node)
+    # bare state/const passed into a call: the extractor resolves it
+    state_positions = [idx for idx, arg in enumerate(node.args)
+                       if isinstance(arg, ast.Name) and arg.id == state_name]
+    if not state_positions:
+        return
+    for idx in state_positions:
+        consumed.add(id(node.args[idx]))
+    const_positions = [idx for idx, arg in enumerate(node.args)
+                       if isinstance(arg, ast.Name) and arg.id == const_name]
+    yield ("call", func, state_positions, const_positions)
+
+
+def _iteration_ops(iter_node: ast.AST) -> Iterator[tuple]:
+    if isinstance(iter_node, ast.Set):
+        yield ("violation", "unordered-iteration",
+               "iteration over a set literal", iter_node)
+    elif isinstance(iter_node, ast.Call) \
+            and isinstance(iter_node.func, ast.Name) \
+            and iter_node.func.id in ("set", "frozenset"):
+        yield ("violation", "unordered-iteration",
+               f"iteration over {iter_node.func.id}(...)", iter_node)
+
+
+def _attr_root(node: ast.AST) -> Optional[str]:
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _rooted_at(node: ast.AST, state_name: Optional[str]) -> bool:
+    if state_name is None:
+        return False
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == state_name
 
 
 # -- the extractor -----------------------------------------------------------
@@ -299,100 +467,26 @@ class _Extractor:
     def _scan_reads(self, fnode: ast.AST, state_name: Optional[str],
                     const_name: Optional[str],
                     local_defs: Mapping[str, ast.AST], depth: int) -> None:
-        consumed: Set[int] = set()   # state Name nodes accounted for
-        for node in ast.walk(fnode):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == state_name:
-                consumed.add(id(node.value))
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    self.violations.append(PurityViolation(
-                        "state-mutation",
-                        f"assignment to state.{node.attr}", self._line(node)))
-                else:
-                    self.reads.add(node.attr)
-            elif isinstance(node, ast.Subscript) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == state_name:
-                consumed.add(id(node.value))
-                sl = node.slice
-                if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-                    if isinstance(node.ctx, (ast.Store, ast.Del)):
-                        self.violations.append(PurityViolation(
-                            "state-mutation",
-                            f"assignment to state[{sl.value!r}]",
-                            self._line(node)))
-                    else:
-                        self.reads.add(sl.value)
-                else:
-                    self.unknown_reads = True
-            elif isinstance(node, ast.Subscript) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == const_name:
-                sl = node.slice
-                if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-                    self.const_reads.add(sl.value)
-            elif isinstance(node, ast.Call):
-                self._scan_call(node, state_name, const_name, local_defs,
-                                consumed, depth)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._check_iteration(node.iter)
-            elif isinstance(node, ast.comprehension):
-                self._check_iteration(node.iter)
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if self._rooted_at(target, state_name):
-                        self.violations.append(PurityViolation(
-                            "state-mutation",
-                            "assignment into an object reached through "
-                            "state", self._line(node)))
-        # const.get("X")
-        for node in ast.walk(fnode):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == const_name \
-                    and node.func.attr == "get" \
-                    and node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                self.const_reads.add(node.args[0].value)
-        # any remaining bare use of the state name escapes the analysis
-        for node in ast.walk(fnode):
-            if isinstance(node, ast.Name) and node.id == state_name \
-                    and id(node) not in consumed:
+        """Replay ``fnode``'s read ops, resolving the helpers it passes
+        the bare state to against this action's names."""
+        for op in _read_ops(fnode, state_name, const_name):
+            kind = op[0]
+            if kind == "read":
+                self.reads.add(op[1])
+            elif kind == "const":
+                self.const_reads.add(op[1])
+            elif kind == "unknown":
                 self.unknown_reads = True
+            elif kind == "violation":
+                self.violations.append(
+                    PurityViolation(op[1], op[2], self._line(op[3])))
+            else:
+                self._scan_call(op[1], op[2], op[3], local_defs, depth)
 
-    def _scan_call(self, node: ast.Call, state_name: Optional[str],
-                   const_name: Optional[str],
-                   local_defs: Mapping[str, ast.AST],
-                   consumed: Set[int], depth: int) -> None:
-        func = node.func
-        # nondeterministic module calls
-        root = self._attr_root(func)
-        if isinstance(func, ast.Attribute) and root in _IMPURE_ROOTS:
-            self.violations.append(PurityViolation(
-                "impure-call", f"call into the {root!r} module",
-                self._line(node)))
-        elif isinstance(func, ast.Name) and func.id in _IMPURE_NAMES:
-            self.violations.append(PurityViolation(
-                "impure-call", f"call to nondeterministic {func.id!r}()",
-                self._line(node)))
-        # in-place mutation of an object reached through state
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS \
-                and self._rooted_at(func.value, state_name):
-            self.violations.append(PurityViolation(
-                "state-mutation",
-                f".{func.attr}() on an object reached through state",
-                self._line(node)))
-        # bare state/const passed into a call: resolve and recurse
-        state_positions = [idx for idx, arg in enumerate(node.args)
-                           if isinstance(arg, ast.Name)
-                           and arg.id == state_name]
-        if not state_positions:
-            return
-        for idx in state_positions:
-            consumed.add(id(node.args[idx]))
+    def _scan_call(self, func: ast.AST, state_positions: List[int],
+                   const_positions: List[int],
+                   local_defs: Mapping[str, ast.AST], depth: int) -> None:
+        """A call that receives the bare state: resolve and recurse."""
         if depth >= _MAX_HELPER_DEPTH:
             self.unknown_reads = True
             return
@@ -400,9 +494,6 @@ class _Extractor:
         if callee is None:
             self.unknown_reads = True
             return
-        const_positions = [idx for idx, arg in enumerate(node.args)
-                           if isinstance(arg, ast.Name)
-                           and arg.id == const_name]
         self._recurse_into(callee, state_positions, const_positions, depth)
 
     def _recurse_into(self, callee: Any, state_positions: List[int],
@@ -583,35 +674,6 @@ class _Extractor:
                                                   ast.Lambda))]
             stack.extend(reversed(children))
 
-    @staticmethod
-    def _attr_root(node: ast.AST) -> Optional[str]:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
-    @staticmethod
-    def _rooted_at(node: ast.AST, state_name: Optional[str]) -> bool:
-        if state_name is None:
-            return False
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == state_name
-
-    def _check_iteration(self, iter_node: ast.AST) -> None:
-        if isinstance(iter_node, ast.Set):
-            self.violations.append(PurityViolation(
-                "unordered-iteration", "iteration over a set literal",
-                self._line(iter_node)))
-        elif isinstance(iter_node, ast.Call) \
-                and isinstance(iter_node.func, ast.Name) \
-                and iter_node.func.id in ("set", "frozenset"):
-            self.violations.append(PurityViolation(
-                "unordered-iteration",
-                f"iteration over {iter_node.func.id}(...)",
-                self._line(iter_node)))
-
 
 # -- per-declaration analysis -----------------------------------------------------
 
@@ -667,15 +729,22 @@ def _domain_effects(decl: ActionDecl, extractor: _Extractor) -> None:
             extractor._line_offset = saved
 
 
-def analyze_action(decl: ActionDecl) -> ActionEffects:
-    """Extract the effect signature of one action declaration."""
+def _declared_effects(decl: ActionDecl, collect_writes: bool) -> _Extractor:
+    """An extractor holding ``decl``'s effects: its body, its domains,
+    and the bag its messages come from."""
     extractor = _Extractor(_resolver_env(decl.fn), line_offset=1)
-    extractor.analyze(decl.fn, collect_writes=True)
+    extractor.analyze(decl.fn, collect_writes=collect_writes)
     _domain_effects(decl, extractor)
     # a MESSAGE_RECEIVE binding's content came out of the bag: consuming
     # actions read the bag even if the body never names it explicitly
     if decl.message_var is not None:
         extractor.reads.add(decl.message_var)
+    return extractor
+
+
+def analyze_action(decl: ActionDecl) -> ActionEffects:
+    """Extract the effect signature of one action declaration."""
+    extractor = _declared_effects(decl, collect_writes=True)
     return ActionEffects(
         name=decl.name,
         reads=frozenset(extractor.reads),
@@ -688,6 +757,27 @@ def analyze_action(decl: ActionDecl) -> ActionEffects:
         file=decl.file,
         line=decl.line,
     )
+
+
+def read_footprints(spec: Specification) -> Dict[str, FrozenSet[str]]:
+    """The read set of every action the checker may memoize.
+
+    An action qualifies when its reads are fully known (its body, the
+    helpers it hands the state to, its parameter domains and its
+    consumed bag), it has no purity violation, and it reads declared
+    variables only: its enabled results are then a function of the
+    values of that read set, the constants and nothing else.  No write
+    scan is needed.  A read this analysis misses makes the checker
+    replay a wrong result, so any doubt must set ``unknown_reads``.
+    """
+    footprints: Dict[str, FrozenSet[str]] = {}
+    for name, decl in spec.actions.items():
+        extractor = _declared_effects(decl, collect_writes=False)
+        reads = frozenset(extractor.reads)
+        if not (extractor.unknown_reads or extractor.violations) \
+                and reads <= spec.variables.keys():
+            footprints[name] = reads
+    return footprints
 
 
 def analyze_spec(spec: Specification) -> SpecEffects:

@@ -236,6 +236,17 @@ class TraceReader:
         return timelines
 
     @staticmethod
+    def _check_line(check: Dict[str, Any]) -> str:
+        """Model-checking runs, with the share of memoized (state,
+        action) pairs the action memo replayed instead of evaluating."""
+        pairs = check["memo_hits"] + check["memo_misses"]
+        ratio = check["memo_hits"] / pairs if pairs else 0.0
+        return (f"check: {check['runs']} run(s), {check['states']} states, "
+                f"{check['edges']} edges; memo {check['memo_hits']} hits / "
+                f"{check['memo_misses']} misses ({ratio:.1%} hit), "
+                f"{check['memo_entries']} entries")
+
+    @staticmethod
     def _shrink_line(fields: Dict[str, Any]) -> str:
         tag = (" (fault-independent)"
                if fields.get("fault_independent") else "")
@@ -335,6 +346,8 @@ class TraceReader:
         quiesce = {"waits": 0, "waited_s": 0.0, "timed_out": 0,
                    "idle_verdicts": 0}
         graph_states = graph_edges = None
+        check = {"runs": 0, "states": 0, "edges": 0, "memo_hits": 0,
+                 "memo_misses": 0, "memo_entries": 0}
         state_fps: set = set()
         edge_fps: set = set()
         timelines: Dict[int, CaseTimeline] = {}
@@ -359,6 +372,11 @@ class TraceReader:
                 quiesce["timed_out"] += bool(event.fields.get("timed_out"))
             elif event.name == "testbed.idle_verdict":
                 quiesce["idle_verdicts"] += 1
+            elif event.name == "checker.run":
+                check["runs"] += 1
+                for key in ("states", "edges", "memo_hits", "memo_misses",
+                            "memo_entries"):
+                    check[key] += event.fields.get(key) or 0
             elif event.name == "runner.suite":
                 if event.fields.get("graph_states") is not None:
                     graph_states = event.fields["graph_states"]
@@ -401,6 +419,7 @@ class TraceReader:
             "soak": soak_fields,
             "quiescence": (quiesce if quiesce["waits"]
                            or quiesce["idle_verdicts"] else None),
+            "check": check if check["runs"] else None,
         }
 
     def summary_dict(self, max_cases: Optional[int] = None) -> Dict[str, Any]:
@@ -459,6 +478,8 @@ class TraceReader:
             width = max(len(name) for name in counts)
             for name, count in counts.items():
                 lines.append(f"  {name.ljust(width)}  {count}")
+        if scan["check"]:
+            lines.append(self._check_line(scan["check"]))
         if scan["shrink"]:
             lines.append(self._shrink_line(scan["shrink"]))
         if scan["conform"]:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from ..obs import METRICS, TRACER
 from .errors import CheckingBudgetExceeded, InvariantViolation
 from .graph import StateGraph
-from .spec import LabelTable, Specification
+from .spec import RunTable, Specification
 
 __all__ = ["CheckResult", "ModelChecker", "TruncatedExplorationWarning", "check"]
 
@@ -47,6 +47,7 @@ class CheckResult:
         diameter: int,
         violation: Optional[InvariantViolation] = None,
         refused_successors: int = 0,
+        memo: Optional[Dict[str, int]] = None,
     ):
         self.graph = graph
         self.states_explored = states_explored
@@ -58,6 +59,9 @@ class CheckResult:
         # successors refused by the truncate=True state budget; they are
         # neither states nor edges of the graph and are not counted as such
         self.refused_successors = refused_successors
+        # the run's action-memo counts: memo_hits, memo_misses, memo_entries
+        self.memo = memo or {"memo_hits": 0, "memo_misses": 0,
+                             "memo_entries": 0}
 
     @property
     def ok(self) -> bool:
@@ -142,7 +146,8 @@ class ModelChecker:
                              edges=result.edges_explored,
                              complete=result.complete,
                              ok=result.ok,
-                             refused=result.refused_successors)
+                             refused=result.refused_successors,
+                             **result.memo)
             return result
 
     def _run(self) -> CheckResult:
@@ -153,8 +158,6 @@ class ModelChecker:
         # hot path: bound once, called per binding / per new state
         enabled = self.spec.enabled
         check_invariants = self.spec.check_invariants
-        # equal labels become one object for this run, and only this run
-        labels = LabelTable()
         violation: Optional[InvariantViolation] = None
         complete = True
         refused = 0
@@ -166,7 +169,7 @@ class ModelChecker:
                 violation = self._violation(graph, parents, *violated)
                 if self.stop_on_violation:
                     return self._finish(graph, start, False, level,
-                                        violation, refused)
+                                        violation, refused, None)
         else:
             graph = StateGraph(self.spec.name)
             # parent pointers for counterexample traces: node -> (pred, label)
@@ -183,8 +186,11 @@ class ModelChecker:
                             graph, parents, node_id, inv_name)
                         if self.stop_on_violation:
                             return self._finish(graph, start, False, level,
-                                                violation, refused)
+                                                violation, refused, None)
 
+        # equal labels become one object, and each memoized action is
+        # evaluated once per read-set projection, for this run only
+        table = run_table(self.spec, graph)
         # FIFO BFS, one level per round of the outer loop
         while True:
             if snapshots is not None and complete:
@@ -195,7 +201,7 @@ class ModelChecker:
             next_frontier: List[int] = []
             for node_id in frontier:
                 state = graph.state_of(node_id)
-                for label, successor in enabled(state, labels):
+                for label, successor in enabled(state, table):
                     succ_id = graph.id_of(successor)
                     is_new = succ_id is None
                     if is_new:
@@ -225,7 +231,7 @@ class ModelChecker:
                             if self.stop_on_violation:
                                 return self._finish(graph, start, False,
                                                     level + 1, violation,
-                                                    refused)
+                                                    refused, table)
             frontier = next_frontier
             if frontier:
                 level += 1
@@ -236,7 +242,8 @@ class ModelChecker:
                                 edges=graph.num_edges)
                     METRICS.gauge("checker.frontier_peak").max(len(frontier))
 
-        return self._finish(graph, start, complete, level, violation, refused)
+        return self._finish(graph, start, complete, level, violation, refused,
+                            table)
 
     # -- helpers -------------------------------------------------------------
     def _violation(self, graph, parents, node_id, inv_name) -> InvariantViolation:
@@ -262,7 +269,7 @@ class ModelChecker:
         return steps
 
     def _finish(self, graph, start, complete, diameter, violation,
-                refused) -> CheckResult:
+                refused, table) -> CheckResult:
         elapsed = time.monotonic() - start
         if TRACER.enabled:
             METRICS.set_gauge("checker.states", graph.num_states)
@@ -283,7 +290,20 @@ class ModelChecker:
             diameter=diameter,
             violation=violation,
             refused_successors=refused,
+            memo=None if table is None else {
+                "memo_hits": table.hits, "memo_misses": table.misses,
+                "memo_entries": table.entries},
         )
+
+
+def run_table(spec: Specification, graph: StateGraph) -> RunTable:
+    """A fresh per-run table for exploring ``spec`` into ``graph``: it
+    memoizes every action whose read footprint is fully known, and
+    interns stored updates through the graph's own value table."""
+    # lazy: analysis builds on this package
+    from ..analysis.effects import read_footprints
+
+    return RunTable(read_footprints(spec), graph.values)
 
 
 def check(

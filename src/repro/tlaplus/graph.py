@@ -97,6 +97,11 @@ class StateGraph:
 
     # -- queries ------------------------------------------------------------------
     @property
+    def values(self) -> ValueTable:
+        """The table this graph's state values are hash-consed in."""
+        return self._values
+
+    @property
     def num_states(self) -> int:
         return len(self._states)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from operator import is_, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import ActionError, SpecError
@@ -46,7 +47,7 @@ __all__ = [
     "ActionKind",
     "VariableDecl",
     "ActionDecl",
-    "LabelTable",
+    "RunTable",
     "Specification",
     "from_constant",
     "in_flight",
@@ -187,40 +188,121 @@ class _BindingTable:
              for domain in self.domains])]
 
 
-class LabelTable:
-    """One exploration's labels for callable-domain bindings, one per label.
+class _ActionMemo:
+    """One action's enabled results, keyed by the values it reads.
 
-    An ``in_flight`` domain yields the state's own message objects, and
-    one message reaches ``enabled`` as many equal objects built along
-    different paths.  A binding is looked up by the identity of its
-    values first, then by value through a :class:`ValueTable`: labels
-    share an object only when their params are :func:`alike`, so labels
-    that compare equal but render differently (``1`` vs ``True`` in a
-    message field) stay apart.  Each entry holds the values whose
-    ``id``s key it, so no id is reused while the table lives.  The
-    checker makes one table per run.
+    ``key`` maps a state's variable dict to the values of the action's
+    read set: the bare value for one read, a tuple for several.  An
+    entry is ``(key, results)``, ``results`` the action's enabled
+    ``(label, updates)`` pairs in binding order, and it serves only a
+    key whose values are the entry's own objects.  Keys that are equal
+    but not identical (``1`` vs ``True``, dicts built in another order)
+    share a dict slot, which then holds a list of their entries.
     """
 
-    __slots__ = ("_by_id", "_by_value", "_values")
+    __slots__ = ("key", "single", "slots")
 
-    def __init__(self) -> None:
+    def __init__(self, reads: Tuple[str, ...]):
+        self.key: Callable[[Dict[str, Any]], Any] = (
+            itemgetter(*reads) if reads else _no_reads)
+        self.single = len(reads) == 1
+        self.slots: Dict[Any, Any] = {}   # key -> entry, or list of entries
+
+    def find(self, bucket: List[tuple], key: Any) -> Optional[tuple]:
+        """The entry of a shared slot whose key is ``key`` itself."""
+        for entry in bucket:
+            if (entry[0] is key if self.single
+                    else all(map(is_, entry[0], key))):
+                return entry
+        return None
+
+    def store(self, key: Any, slot: Any, results: tuple) -> None:
+        """File ``key``'s results in its slot, found holding ``slot``."""
+        entry = (key, results)
+        if slot is None:
+            self.slots[key] = entry
+        elif type(slot) is list:
+            slot.append(entry)
+        else:
+            self.slots[key] = [slot, entry]
+
+    def __len__(self) -> int:
+        return sum(len(slot) if type(slot) is list else 1
+                   for slot in self.slots.values())
+
+
+def _no_reads(variables: Dict[str, Any]) -> tuple:
+    return ()
+
+
+class RunTable:
+    """One exploration's shared work: action labels and the action memo.
+
+    **Labels.** An ``in_flight`` domain yields the state's own message
+    objects, and one message reaches ``enabled`` as many equal objects
+    built along different paths.  A binding is looked up by the
+    identity of its values first, then by value through a
+    :class:`ValueTable`: labels share an object only when their params
+    are :func:`alike`, so labels that compare equal but render
+    differently (``1`` vs ``True`` in a message field) stay apart.  Each
+    entry holds the values whose ``id``s key it, so no id is reused
+    while the table lives.
+
+    **Memo.** ``footprints`` maps an action name to its read set (the
+    checker passes :func:`repro.analysis.effects.read_footprints`); an
+    action absent from it is evaluated on every expansion.  A memoized
+    action's enabled results are stored under the values its read set
+    has in the expanded state and replayed, in binding order, for every
+    later state whose read values are the *same objects*; an equal but
+    not identical key (``1`` vs ``True``) is a miss and gets an entry of
+    its own.  Every entry holds its key's values, so identities stay
+    unique while the table lives.  Stored updates are interned through
+    ``values`` (the graph's own :class:`ValueTable`), so successors are
+    built from representatives and the memo holds no copies.
+
+    The checker makes one table per run; ``hits`` and ``misses`` count
+    memoized (state, action) pairs replayed and evaluated.
+    """
+
+    __slots__ = ("_by_id", "_by_value", "_labels", "_memos", "_values",
+                 "hits", "misses")
+
+    def __init__(self, footprints: Optional[Mapping[str, Iterable[str]]] = None,
+                 values: Optional[ValueTable] = None) -> None:
         self._by_id: Dict[tuple, Tuple[tuple, ActionLabel]] = {}
         # id of an interned ``(name, *values)`` -> its label
         self._by_value: Dict[int, ActionLabel] = {}
-        self._values = ValueTable()
+        self._labels = ValueTable()
+        self._memos: Dict[str, _ActionMemo] = {
+            name: _ActionMemo(tuple(sorted(reads)))
+            for name, reads in (footprints or {}).items()}
+        self._values = values if values is not None else ValueTable()
+        self.hits = 0
+        self.misses = 0
 
     def intern(self, name: str, binding: Dict[str, Any]) -> ActionLabel:
         key = (name, *map(id, binding.values()))
         entry = self._by_id.get(key)
         if entry is None:
             values = tuple(binding.values())
-            frozen = self._values.intern((name, *map(freeze, values)))
+            frozen = self._labels.intern((name, *map(freeze, values)))
             label = self._by_value.get(id(frozen))
             if label is None:
                 label = self._by_value[id(frozen)] = ActionLabel(
                     name, dict(zip(binding, frozen[1:])))
             entry = self._by_id[key] = (values, label)
         return entry[1]
+
+    def share(self, updates: Mapping[str, Any]) -> Dict[str, Any]:
+        """``updates`` frozen, each value its representative in the
+        graph's value table."""
+        intern = self._values.intern
+        return {name: intern(freeze(value)) for name, value in updates.items()}
+
+    @property
+    def entries(self) -> int:
+        """Memo entries stored so far, over every action."""
+        return sum(map(len, self._memos.values()))
 
 
 class Specification:
@@ -342,6 +424,12 @@ class Specification:
 
     def apply(self, decl: ActionDecl, state: State, binding: Mapping[str, Any]) -> Optional[State]:
         """Apply one action binding to ``state``; None when not enabled."""
+        updates = self._updates(decl, state, binding)
+        return None if updates is None else state.with_updates(updates)
+
+    def _updates(self, decl: ActionDecl, state: State,
+                 binding: Mapping[str, Any]) -> Optional[Mapping[str, Any]]:
+        """One binding's checked update dict; None when not enabled."""
         try:
             updates = decl.fn(state, self.constants, **binding)
         except Exception as exc:  # surface the action name in the traceback
@@ -353,26 +441,50 @@ class Specification:
             raise ActionError(
                 f"action {decl.name!r} assigned undeclared variables: {sorted(extra)}"
             )
-        return state.with_updates(updates)
+        return updates
 
-    def enabled(self, state: State, labels: Optional[LabelTable] = None
+    def enabled(self, state: State, table: Optional[RunTable] = None
                 ) -> Iterator[Tuple[ActionLabel, State]]:
         """Yield every enabled ``(label, successor)`` pair from ``state``.
 
         This is the ``Next`` relation TLC iterates: all actions, all
         parameter bindings, skipping bindings whose precondition fails.
-        Static-domain labels are always shared; callable-domain labels
-        are shared through ``labels`` when the caller passes one.
+        Static-domain labels are always shared.  With a ``table`` (one
+        per exploration), callable-domain labels are shared too, and an
+        action the table memoizes is evaluated once per distinct
+        projection of ``state`` onto its read set: a repeat replays the
+        stored results without evaluating the domain or any guard.
         """
         const = self.constants
-        for decl, table in self._binding_tables():
-            for binding, label in table.bindings(state, const):
-                successor = self.apply(decl, state, binding)
-                if successor is not None:
+        memos = None if table is None else table._memos
+        for decl, bindings in self._binding_tables():
+            memo = memos.get(decl.name) if memos else None
+            if memo is not None:
+                key = memo.key(state.__dict__)
+                slot = memo.slots.get(key)
+                entry = memo.find(slot, key) if type(slot) is list else slot
+                if entry is not None and (entry[0] is key if memo.single
+                                          else all(map(is_, entry[0], key))):
+                    table.hits += 1
+                    for label, updates in entry[1]:
+                        yield label, state.with_updates(updates)
+                    continue
+                table.misses += 1
+                results = []
+            for binding, label in bindings.bindings(state, const):
+                updates = self._updates(decl, state, binding)
+                if updates is not None:
                     if label is None:
-                        label = (ActionLabel(decl.name, binding) if labels is None
-                                 else labels.intern(decl.name, binding))
-                    yield label, successor
+                        label = (ActionLabel(decl.name, binding) if table is None
+                                 else table.intern(decl.name, binding))
+                    if memo is not None:
+                        updates = table.share(updates)
+                        results.append((label, updates))
+                    yield label, state.with_updates(updates)
+            # stored only once every binding was evaluated, so a consumer
+            # that stops mid-action leaves no partial entry behind
+            if memo is not None:
+                memo.store(key, slot, tuple(results))
 
     def _binding_tables(self) -> List[Tuple[ActionDecl, _BindingTable]]:
         """The per-action binding tables, re-derived whenever a constant

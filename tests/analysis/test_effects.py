@@ -1,8 +1,11 @@
 """Unit tests for the static effect analyzer (repro.analysis.effects)."""
 
+import functools
+import inspect
+
 import pytest
 
-from repro.analysis.effects import analyze_action, analyze_spec
+from repro.analysis.effects import analyze_action, analyze_spec, read_footprints
 from repro.specs import build_example_spec
 from repro.specs.raft import build_raft_spec
 from repro.specs.zab import build_zab_spec
@@ -129,6 +132,135 @@ class TestUnknownFlags:
             return {"x": state[key]}
 
         assert analyze_action(spec.actions["A"]).unknown_reads
+
+
+class TestStateMethodReads:
+    """``state.<attr>`` is a variable read only when ``attr`` can be a
+    variable: a ``State`` method or an underscore name is not one."""
+
+    def test_read_through_get_is_unknown_not_independent(self):
+        spec = make_spec()
+
+        @spec.action()
+        def ReadViaGet(state, const):
+            return {"y": state.get("x")}
+
+        @spec.action()
+        def WriteX(state, const):
+            return {"x": 1}
+
+        effects = analyze_spec(spec)
+        assert effects.actions["ReadViaGet"].unknown_reads
+        assert "get" not in effects.actions["ReadViaGet"].reads
+        assert not effects.independence().certified("ReadViaGet", "WriteX")
+        assert "ReadViaGet" not in read_footprints(spec)
+
+    def test_methods_and_internals_are_unknown(self):
+        spec = make_spec()
+
+        @spec.action()
+        def Items(state, const):
+            return {"y": len(list(state.items()))}
+
+        @spec.action()
+        def Variables(state, const):
+            return {"y": state.variables()}
+
+        @spec.action()
+        def AsDict(state, const):
+            return {"y": state.as_dict()["x"]}
+
+        @spec.action()
+        def WithUpdates(state, const):
+            return {"y": state.with_updates({}).x}
+
+        @spec.action()
+        def Private(state, const):
+            return {"y": state._vars["x"]}
+
+        @spec.action()
+        def Dunder(state, const):
+            return {"y": state.__dict__["x"]}
+
+        for name, effects in analyze_spec(spec).actions.items():
+            assert effects.unknown_reads, name
+        assert read_footprints(spec) == {}
+
+
+class TestFootprintsForTheChecker:
+    def test_known_reads_include_domains_and_bag(self):
+        spec = make_spec()
+
+        @spec.action(params={"m": in_flight("msgs")},
+                     kind=ActionKind.MESSAGE_RECEIVE, msg_param="m",
+                     message_var="msgs")
+        def Recv(state, const, m):
+            return {"x": m}
+
+        @spec.action(params={"i": from_constant("Server")})
+        def Bump(state, const, i):
+            return {"y": state.y + 1}
+
+        assert read_footprints(spec) == {"Recv": {"msgs"}, "Bump": {"y"}}
+
+    def test_unknown_impure_or_undeclared_reads_are_left_out(self):
+        import random
+
+        spec = make_spec()
+
+        @spec.action()
+        def Dynamic(state, const):
+            return {"x": getattr(state, "y")}
+
+        @spec.action()
+        def Impure(state, const):
+            return {"x": state.x + random.random()}
+
+        @spec.action()
+        def Undeclared(state, const):
+            return {"x": state.nope}
+
+        @spec.action()
+        def Plain(state, const):
+            return {"x": state.x}
+
+        assert read_footprints(spec) == {"Plain": {"x"}}
+
+    def test_wrapped_functions_are_unknown(self):
+        spec = make_spec()
+
+        def logged(fn):
+            @functools.wraps(fn)
+            def wrapper(state, const):
+                state.y        # a read the wrapped source does not show
+                return fn(state, const)
+            return wrapper
+
+        @spec.action()
+        @logged
+        def A(state, const):
+            return {"x": state.x}
+
+        assert analyze_action(spec.actions["A"]).unknown_reads
+        assert read_footprints(spec) == {}
+
+    def test_two_lambdas_on_one_line_are_unknown(self):
+        spec = make_spec()
+        a, b = (lambda state, const: {"x": state.x}), (lambda state, const: {"y": state.y})
+        spec.action(name="A")(a)
+        spec.action(name="B")(b)
+        assert read_footprints(spec) == {}
+
+    def test_source_is_parsed_once_per_code_object(self, monkeypatch):
+        analyze_spec(build_raft_spec())
+        calls = []
+        original = inspect.getsourcelines
+        monkeypatch.setattr(inspect, "getsourcelines",
+                            lambda fn: calls.append(fn) or original(fn))
+        fresh = build_raft_spec()     # new function objects, same code
+        assert set(read_footprints(fresh)) == set(fresh.actions)
+        analyze_spec(fresh)
+        assert calls == []
 
 
 class TestHelperTraversal:

@@ -114,6 +114,8 @@ def test_profile_script_runs(capsys):
     assert "== example: 13 states, 18 edges" in out
     for stage in profile_cold_path.STAGES:
         assert f" {stage} " in out
+    assert ("   action memo: 42.3% hit of 26 memoized (state, action) "
+            "pairs, 15 entries" in out)
     assert "Ordered by: internal time" in out
     assert ("   memory MB: check " in out and ", peak " in out
             and "B/state after check; 56 steps iterated" in out)

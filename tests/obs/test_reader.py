@@ -98,6 +98,20 @@ class TestTimelines:
         assert "case #0" in text and "case #1" not in text
         assert "1 more cases" in text
 
+    def test_summarize_check_line_has_memo_hit_ratio(self, tmp_path):
+        from repro.specs import build_example_spec
+        from repro.tlaplus import check
+
+        path = tmp_path / "check.jsonl"
+        TRACER.configure(enabled=True, sink=str(path))
+        try:
+            check(build_example_spec())
+        finally:
+            TRACER.disable()
+        text = TraceReader.from_file(str(path)).summarize()
+        assert ("check: 1 run(s), 13 states, 18 edges; memo 11 hits / "
+                "15 misses (42.3% hit), 15 entries") in text
+
     def test_empty_trace(self):
         reader = TraceReader([])
         assert reader.case_timelines() == {}

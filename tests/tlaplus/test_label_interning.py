@@ -10,7 +10,7 @@ from repro.tlaplus import (
     to_dot,
 )
 from repro.tlaplus.dot import encode_value
-from repro.tlaplus.spec import LabelTable
+from repro.tlaplus.spec import RunTable
 from repro.tlaplus.values import EMPTY_BAG, FrozenDict
 
 
@@ -82,7 +82,7 @@ class TestLabelInterning:
         assert "('x', 1)" in text and "('x', True)" in text
 
     def test_table_needs_more_than_equality(self):
-        table = LabelTable()
+        table = RunTable()
         one = table.intern("Recv", {"m": FrozenDict({"x": 1})})
         true = table.intern("Recv", {"m": FrozenDict({"x": True})})
         again = table.intern("Recv", {"m": FrozenDict({"x": 1})})
