@@ -12,13 +12,13 @@ lists the flags.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
 from collections import namedtuple
 from typing import Optional
 
+from .artifact import ArtifactError
 from .core import ControlledTester, generate_test_cases
 from .obs import METRICS, TRACER, TraceReader
 from .systems.catalog import (
@@ -31,36 +31,6 @@ __all__ = ["main"]
 
 _SYSTEMS = "|".join(TARGETS)
 _BARE_MODELS = "|".join(BARE_MODELS)
-
-
-class _ArtifactError(Exception):
-    """An on-disk artifact could not be read; ``main`` exits 2 on it."""
-
-
-@contextlib.contextmanager
-def _artifact(what: str, path, missing="no such {what}: {path}",
-              bad="cannot read {what} {path}: {exc}"):
-    """Fail closed while reading the artifact file ``path`` (a ``what``).
-
-    Whatever the enclosed load raises about the file ends the command
-    with one line on stderr and exit code 2: ``missing`` when the file
-    does not exist, ``bad`` when it is unreadable, truncated, of the
-    wrong ``format`` or lacks a required key.  Enclose the load alone.
-    """
-    try:
-        yield
-    except (OSError, ValueError, KeyError) as exc:
-        line = missing if isinstance(exc, FileNotFoundError) else bad
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise _ArtifactError(
-            line.format(what=what, path=path, exc=reason)) from exc
-
-
-def _streamed(items, *artifact, **lines):
-    """``items``, failing closed as :func:`_artifact` does on what
-    *reading* them raises — not on what the consumer does with each."""
-    with _artifact(*artifact, **lines):
-        yield from items
 
 
 def _spec_independence(spec):
@@ -175,8 +145,7 @@ def _suite_kit(args, target, canonical, cases=None, **checkpoint) -> _Kit:
     if args.suite:
         from .core.testgen import TestSuite
 
-        with _artifact("suite", args.suite):
-            suite = TestSuite.load(args.suite)
+        suite = TestSuite.load(args.suite)
     else:
         suite = generate_test_cases(graph, por=not args.no_por, seed=args.seed,
                                     independence=_spec_independence(spec))
@@ -195,11 +164,25 @@ def _plan(args, target, kit_: _Kit):
                        max_faults_per_case=args.max_faults)
 
 
-def _load_plan(path, what="fault plan"):
+def _load_plan(args):
     from .faults import FaultPlan
 
-    with _artifact(what, path):
-        return FaultPlan.load(path)
+    return FaultPlan.load(args.plan)
+
+
+def _fitting(args, plan, kit_: _Kit):
+    """``plan``, refused unless it was planned for ``args.target`` and is
+    legal for ``kit_``'s graph, suite and cluster."""
+    from .faults import plan_violations
+
+    problems = plan_violations(plan, kit_.suite, graph=kit_.graph,
+                               node_ids=kit_.cluster_factory().node_ids)
+    if plan.target != args.target:
+        problems.insert(0, f"it was planned for {plan.target!r}")
+    if problems:
+        raise ArtifactError(f"fault plan {args.plan} does not fit "
+                            f"{args.target}: {problems[0]}")
+    return plan
 
 
 def _testbed(kit_: _Kit, plan=None):
@@ -324,17 +307,21 @@ def _cmd_faults_run(args) -> int:
 
 def _cmd_faults_replay(args) -> int:
     def command() -> int:
-        plan = _load_plan(args.plan)
+        plan = _load_plan(args)
         kit_ = _suite_kit(args, args.target, canonical=True)
-        return _run_plan(args, kit_, plan, max_cases=args.cases)
+        return _run_plan(args, kit_, _fitting(args, plan, kit_),
+                         max_cases=args.cases)
 
     return _with_obs(args, command)
 
 
 def _cmd_faults_shrink(args) -> int:
     def command() -> int:
-        plan = _load_plan(args.plan)
-        kit_ = _suite_kit(args, args.target, canonical=True, cases=args.cases)
+        plan = _load_plan(args)
+        kit_ = _suite_kit(args, args.target, canonical=True)
+        _fitting(args, plan, kit_)
+        # legal against the whole suite, shrunk over the capped one
+        kit_ = kit_._replace(suite=kit_.suite.truncated(args.cases))
         print(f"shrinking: {plan.summary()}")
         return _shrink_and_report(args, kit_, plan, budget=args.budget,
                                   out=args.out, log=args.log)
@@ -378,12 +365,13 @@ def _cmd_faults_scenarios(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .faults import FaultPlan
     from .fuzz import (
         FuzzError, fuzz_campaign, render_fuzz_json, render_fuzz_text,
     )
 
     def command() -> int:
-        seed_plans = [_load_plan(path, "seed plan") for path in args.seed_plan]
+        seed_plans = [FaultPlan.load(path) for path in args.seed_plan]
         kit_ = _suite_kit(args, args.target, canonical=True, cases=args.cases)
         try:
             result = fuzz_campaign(
@@ -412,31 +400,22 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_soak(args) -> int:
     from .soak import SoakConfig, build_report, render_text, run_soak
-    from .soak.nemesis import SCHEDULE_FORMAT
+    from .soak.nemesis import read_schedule, write_schedule
 
     def command() -> int:
-        schedule = None
+        shards, faults, schedule = args.shards, args.faults, None
         if args.schedule:
-            with _artifact("schedule", args.schedule,
-                           missing="cannot read {what} {path}: {exc}"):
-                with open(args.schedule, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                if (not isinstance(doc, dict)
-                        or doc.get("format") != SCHEDULE_FORMAT):
-                    raise _ArtifactError(f"{args.schedule} is not a "
-                                         f"{SCHEDULE_FORMAT} file")
-                schedule = doc["events"]
-                schedule_faults = bool(doc.get("faults", any(schedule)))
+            schedule, faults = read_schedule(args.schedule)
+            shards = len(schedule)
         try:
             config = SoakConfig(
                 target=args.target,
                 ops=args.ops,
                 seed=str(args.soak_seed),
-                shards=len(schedule) if schedule is not None else args.shards,
+                shards=shards,
                 workers=args.workers,
                 rate=args.rate,
-                faults=schedule_faults if schedule is not None
-                else args.faults,
+                faults=faults,
                 bug=args.bug,
                 snapshot_every=args.snapshot_every,
                 schedule=schedule,
@@ -449,12 +428,8 @@ def _cmd_soak(args) -> int:
         wall = time.perf_counter() - start
         report = build_report(config, shard_reports)
         if args.schedule_out:
-            doc = {"format": SCHEDULE_FORMAT, "seed": config.seed,
-                   "shards": config.shards, "faults": config.faults,
-                   "events": [s["fault_schedule"] for s in shard_reports]}
-            with open(args.schedule_out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_schedule(args.schedule_out, config.seed, config.faults,
+                           [s["fault_schedule"] for s in shard_reports])
         if args.format == "json":
             # The canonical artifact: pure (seed, schedule) quantities,
             # no wall-clock readings — byte-identical across workers
@@ -515,15 +490,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_trace_summarize(args) -> int:
     reader = TraceReader.from_file(args.file)
-    # the reader is lazy and summarizing is one streaming pass over the
-    # file, so that pass *is* the load; printing stays outside
-    with _artifact("trace", args.file):
-        if args.format == "json":
-            text = json.dumps(reader.summary_dict(max_cases=args.cases),
-                              indent=2, sort_keys=True)
-        else:
-            text = reader.summarize(max_cases=args.cases)
-    print(text)
+    if args.format == "json":
+        print(json.dumps(reader.summary_dict(max_cases=args.cases),
+                         indent=2, sort_keys=True))
+    else:
+        print(reader.summarize(max_cases=args.cases))
     return 0
 
 
@@ -550,8 +521,7 @@ def _cmd_conform(args) -> int:
             source, label = sys.stdin, "<stdin>"
         else:
             source, label = args.log, args.log
-        # adapters tag a malformed line with <path>:<line> themselves
-        events = _streamed(adapter.read(source), "log", label, bad="{exc}")
+        events = adapter.read(source)
         if args.stream:
             # incremental mode: deterministic count-based progress
             # (never timing-based — output stays byte-identical)
@@ -843,7 +813,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except UnknownName as exc:
         raise SystemExit(str(exc))
-    except _ArtifactError as exc:
+    except ArtifactError as exc:
         print(f"mocket {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,9 @@ logs stay checkable under bounded memory (see docs/CONFORMANCE.md).
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, Iterator, Optional, TextIO, Tuple, Type, Union
+from typing import Any, Dict, Iterator, Optional, TextIO, Tuple, Type, Union
+
+from .. import artifact
 
 __all__ = [
     "LogEvent",
@@ -61,33 +62,19 @@ class LogAdapter:
 
     #: registry key; subclasses set it and call :func:`register_adapter`
     name = ""
+    #: :meth:`parse` takes the stripped text line; JSONL adapters set
+    #: False and take the line's JSON object instead
+    raw = True
 
-    def parse(self, line_no: int, line: str) -> Optional[LogEvent]:
+    def parse(self, line_no: int, line: Any) -> Optional[LogEvent]:
         """Parse one log line; return None for lines that carry no
         observable action (comments, other record kinds)."""
         raise NotImplementedError
 
     def read(self, source: Union[str, TextIO]) -> Iterator[LogEvent]:
         """Stream events from a path or an open text handle."""
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                yield from self._read_lines(handle, source)
-        else:
-            yield from self._read_lines(source, getattr(source, "name", "<log>"))
-
-    def _read_lines(self, handle: Iterable[str], label: str) -> Iterator[LogEvent]:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = self.parse(line_no, line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{label}:{line_no}: not a {self.name!r} log record: {exc}"
-                ) from None
-            if event is not None:
-                yield event
+        return artifact.records(source, self.parse, f"{self.name!r} log",
+                                raw=self.raw)
 
 
 class ObsJsonlAdapter(LogAdapter):
@@ -101,9 +88,9 @@ class ObsJsonlAdapter(LogAdapter):
     """
 
     name = "obs"
+    raw = False
 
-    def parse(self, line_no: int, line: str) -> Optional[LogEvent]:
-        record = json.loads(line)
+    def parse(self, line_no: int, record: Dict[str, Any]) -> Optional[LogEvent]:
         if record.get("name") != "runner.step":
             return None
         fields = record.get("fields", {})
@@ -127,9 +114,9 @@ class ActionJsonlAdapter(LogAdapter):
     """
 
     name = "jsonl"
+    raw = False
 
-    def parse(self, line_no: int, line: str) -> Optional[LogEvent]:
-        record = json.loads(line)
+    def parse(self, line_no: int, record: Dict[str, Any]) -> Optional[LogEvent]:
         action = record.get("action") or record.get("event")
         if action is None:
             raise ValueError("record has no 'action' key")

@@ -127,10 +127,12 @@ def por_excluded_edges(graph: StateGraph, seed: int = 0,
     """Pick the coverage targets to drop: one interleaving per diamond.
 
     Returns the set of *second-hop* edges of the non-chosen
-    interleavings.  An edge that survives as the kept interleaving of
-    one diamond is never also excluded by another diamond (kept edges
-    are pinned first), so at least one interleaving of every diamond
-    remains fully traversable.
+    interleavings.  An edge kept by one diamond is never excluded by a
+    later one (kept edges are pinned).  A diamond skipped because one
+    of its second hops is already excluded pins nothing, though, so a
+    later diamond may exclude the other one too: on the raftkv model
+    363 of 1,160 diamonds lose both interleavings.  Pinning it changes
+    every bundled suite, so it waits for a benchmark re-pin (ROADMAP).
 
     ``independence`` (optional static certificates from
     ``repro.analysis.effects``) accelerates the diamond search without

@@ -13,11 +13,14 @@ import operator
 from collections.abc import Sequence
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ... import artifact
 from ...tlaplus.dot import decode_value, encode_value
 from ...tlaplus.graph import Edge, StateGraph
 from ...tlaplus.state import ActionLabel, State
 
 __all__ = ["TestStep", "PathSteps", "TestCase", "TestSuite"]
+
+SUITE_FORMAT = "mocket-test-suite/1"
 
 
 class TestStep:
@@ -258,41 +261,23 @@ class TestSuite:
 
     # -- persistence ----------------------------------------------------------
     def save(self, path_or_file) -> None:
-        """Write the suite (and generation stats) to a JSON file.
-
-        Generated suites can be expensive to rebuild for large graphs;
-        saved suites replay bit-identically (`mocket testgen --out` /
-        `mocket test --suite`).
-        """
-        import json
-
-        payload = {
-            "format": "mocket-test-suite/1",
+        """Write the suite (and generation stats) as a ``mocket-test-suite/1``
+        file; it replays bit-identically (`mocket testgen --out` /
+        `mocket test --suite`)."""
+        artifact.write(path_or_file, {
+            "format": SUITE_FORMAT,
             "excluded_edges": self.excluded_edges,
             "uncovered_edges": self.uncovered_edges,
             "cases": [case.to_jsonable() for case in self.cases],
-        }
-        if hasattr(path_or_file, "write"):
-            json.dump(payload, path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+        })
 
     @classmethod
     def load(cls, path_or_file) -> "TestSuite":
-        """Read a suite previously written by :meth:`save`."""
-        import json
-
-        if hasattr(path_or_file, "read"):
-            payload = json.load(path_or_file)
-        else:
-            with open(path_or_file, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        if payload.get("format") != "mocket-test-suite/1":
-            raise ValueError(f"not a mocket test suite: {path_or_file!r}")
-        cases = [TestCase.from_jsonable(raw) for raw in payload["cases"]]
-        return cls(cases, excluded_edges=payload["excluded_edges"],
-                   uncovered_edges=payload["uncovered_edges"])
+        """Read a suite written by :meth:`save` (fails closed)."""
+        return artifact.read(path_or_file, SUITE_FORMAT, lambda payload: cls(
+            [TestCase.from_jsonable(raw) for raw in payload["cases"]],
+            excluded_edges=payload["excluded_edges"],
+            uncovered_edges=payload["uncovered_edges"]))
 
     def __repr__(self) -> str:
         return f"TestSuite({len(self.cases)} cases, {self.total_actions()} actions)"

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import artifact
+from ..artifact import ArtifactError
 from ..obs import TRACER
 from ..tlaplus.dot import decode_value
-from ..tlaplus.errors import DotParseError
 from ..tlaplus.graph import StateGraph
 from ..tlaplus.state import ActionLabel, State
 from ..tlaplus.values import FrozenDict
@@ -59,8 +59,9 @@ __all__ = ["CheckpointError", "CheckpointStore", "Checkpointer"]
 FORMAT = "mocket-checkpoint/1"
 
 
-class CheckpointError(RuntimeError):
-    """A checkpoint directory is missing, corrupt, or mismatched."""
+class CheckpointError(ArtifactError):
+    """Resuming found no checkpoint, one of another spec, or a record
+    whose fingerprints do not match its states."""
 
 
 class CheckpointStore:
@@ -86,16 +87,7 @@ class CheckpointStore:
         payload = dict(payload)
         payload["format"] = FORMAT
         os.makedirs(self.directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix="checkpoint-", suffix=".tmp", dir=self.directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        artifact.write(self.path, payload)
         with open(self.history_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({
                 "level": payload.get("level"),
@@ -107,31 +99,27 @@ class CheckpointStore:
             }) + "\n")
 
     # -- reading -----------------------------------------------------------
-    def load(self, spec_name: Optional[str] = None) -> Dict[str, Any]:
-        """Read and validate the latest snapshot.
+    def load(self, spec_name: Optional[str] = None,
+             decode: Callable[[Dict[str, Any]], Any] = dict):
+        """``decode`` of the latest snapshot (by default, the snapshot).
 
         ``spec_name`` guards against resuming a checkpoint of a
-        different model into the wrong run.
+        different model into the wrong run; what ``decode`` raises about
+        the record fails closed as an :class:`ArtifactError`.
         """
         if not self.exists():
             raise CheckpointError(
                 f"no checkpoint found at {self.path!r}; "
                 f"run once with --checkpoint before --resume")
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint {self.path!r}: {exc}") from exc
-        if payload.get("format") != FORMAT:
-            raise CheckpointError(
-                f"{self.path!r} is not a {FORMAT} checkpoint "
-                f"(format={payload.get('format')!r})")
-        if spec_name is not None and payload.get("spec") != spec_name:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} is for spec "
-                f"{payload.get('spec')!r}, not {spec_name!r}")
-        return payload
+
+        def checked(payload: Dict[str, Any]):
+            if spec_name is not None and payload.get("spec") != spec_name:
+                raise CheckpointError(
+                    f"checkpoint {self.path!r} is for spec "
+                    f"{payload.get('spec')!r}, not {spec_name!r}")
+            return decode(payload)
+
+        return artifact.read(self.path, FORMAT, checked)
 
     def __repr__(self) -> str:
         return f"CheckpointStore({self.directory!r})"
@@ -228,19 +216,12 @@ class Checkpointer:
         there: the caller asked to resume, silently starting over would
         be worse.
         """
-        payload = self.store.load(self.spec_name)
-        try:
-            restored = self._replay(payload)
-        except (KeyError, IndexError, TypeError, ValueError,
-                DotParseError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint {self.store.path!r}: "
-                f"{type(exc).__name__}: {exc}") from exc
+        restored = self.store.load(self.spec_name, self._replay)
         graph, _, frontier, level, _ = restored
         if TRACER.enabled:
             TRACER.emit("engine.resume", level=level,
                         states=graph.num_states, frontier=len(frontier),
-                        complete=bool(payload.get("complete")))
+                        complete=not frontier)
         return restored
 
     def _replay(self, payload: Dict[str, Any]):

@@ -28,6 +28,8 @@ __all__ = [
     "ChaosKind",
     "TRANSPARENT_KINDS",
     "DISRUPTIVE_KINDS",
+    "PARTITION_FAMILY",
+    "REQUIRED_PARAMS",
 ]
 
 
@@ -69,3 +71,20 @@ DISRUPTIVE_KINDS = frozenset({
     ChaosKind.CRASH,
     ChaosKind.CORRUPT,
 })
+
+# Chaos kinds that set the partition groups: at most one per case, or
+# the second would overwrite the first's groups.
+PARTITION_FAMILY = frozenset({ChaosKind.PARTITION,
+                              ChaosKind.PARTIAL_PARTITION})
+
+# The parameter keys each chaos kind's nemesis ``apply`` reads.
+REQUIRED_PARAMS = {
+    ChaosKind.PARTITION: ("isolate",),
+    ChaosKind.PARTIAL_PARTITION: ("group",),
+    ChaosKind.LINK_CUT: ("src", "dst"),
+    ChaosKind.DELAY: ("src", "dst", "count"),
+    ChaosKind.REORDER: ("node",),
+    ChaosKind.CORRUPT: ("node",),
+    ChaosKind.BOUNCE: ("node",),
+    ChaosKind.CRASH: ("node",),
+}

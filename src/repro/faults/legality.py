@@ -1,9 +1,10 @@
 """Static legality checking of fault plans.
 
 The planner only ever *emits* legal plans, but the fuzzer *mutates*
-them — splicing, transposing, strengthening and weakening injections —
-so legality needs to be checkable after the fact.  :func:`plan_violations`
-re-states the k-budget rules the planner documents (and PR-5 pinned):
+them and ``mocket faults replay|shrink`` read them from disk, so
+legality needs to be checkable after the fact.  :func:`plan_violations`
+checks the k-budget rules the planner documents, from the rule table
+it shares with the planner (:mod:`repro.faults.kinds`):
 
 * at most one **disruptive** injection per case — disruptive windows
   must not overlap, because convergence-mode checking needs a single
@@ -34,25 +35,13 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.testgen.testcase import TestSuite
 from ..tlaplus.graph import StateGraph
-from .kinds import ChaosKind, DISRUPTIVE_KINDS, InjectionMode
+from .kinds import (
+    ChaosKind, DISRUPTIVE_KINDS, InjectionMode, PARTITION_FAMILY,
+    REQUIRED_PARAMS,
+)
 from .plan import FaultInjection, FaultPlan
 
 __all__ = ["plan_violations", "plan_is_legal"]
-
-_PARTITION_FAMILY = frozenset({ChaosKind.PARTITION,
-                               ChaosKind.PARTIAL_PARTITION})
-
-#: required parameter keys per chaos kind (nemesis ``apply`` contract)
-_REQUIRED_PARAMS = {
-    ChaosKind.PARTITION: ("isolate",),
-    ChaosKind.PARTIAL_PARTITION: ("group",),
-    ChaosKind.LINK_CUT: ("src", "dst"),
-    ChaosKind.DELAY: ("src", "dst", "count"),
-    ChaosKind.REORDER: ("node",),
-    ChaosKind.CORRUPT: ("node",),
-    ChaosKind.BOUNCE: ("node",),
-    ChaosKind.CRASH: ("node",),
-}
 
 
 def plan_is_legal(plan: FaultPlan, suite: TestSuite,
@@ -117,7 +106,7 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
         if kind in DISRUPTIVE_KINDS:
             disruptive_count[case.case_id] = (
                 disruptive_count.get(case.case_id, 0) + 1)
-        if kind in _PARTITION_FAMILY:
+        if kind in PARTITION_FAMILY:
             partition_count[case.case_id] = (
                 partition_count.get(case.case_id, 0) + 1)
         problems.extend(_param_violations(injection, kind, where, node_set))
@@ -223,7 +212,7 @@ def _param_violations(injection: FaultInjection, kind: ChaosKind,
                       where: str, node_set) -> List[str]:
     problems: List[str] = []
     params = injection.params
-    for key in _REQUIRED_PARAMS[kind]:
+    for key in REQUIRED_PARAMS[kind]:
         if key not in params:
             problems.append(f"{where}: missing parameter {key!r}")
             return problems

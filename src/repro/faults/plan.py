@@ -13,9 +13,9 @@ file — the determinism guard in ``tests/faults`` relies on this.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
+from .. import artifact
 from ..tlaplus.dot import decode_value, encode_value
 from ..tlaplus.state import ActionLabel
 from .kinds import ChaosKind, DISRUPTIVE_KINDS, InjectionMode
@@ -123,11 +123,14 @@ class FaultInjection:
     @classmethod
     def from_jsonable(cls, payload: Dict[str, Any]) -> "FaultInjection":
         mode = InjectionMode(payload["mode"])
+        kind = payload["kind"]
         edge = tail = None
-        if mode is InjectionMode.MODELED:
+        if mode is InjectionMode.CHAOS:
+            kind = ChaosKind(kind).value
+        else:
             edge = EdgeRef.from_jsonable(payload["edge"])
             tail = [EdgeRef.from_jsonable(ref) for ref in payload["tail"]]
-        return cls(mode, payload["kind"], payload["case_id"],
+        return cls(mode, kind, payload["case_id"],
                    payload["step_index"],
                    params=dict(decode_value(payload["params"])),
                    derived_case_id=payload.get("derived_case_id"),
@@ -195,20 +198,13 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Canonical dump: same plan ⇒ byte-identical text."""
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        return artifact.dumps(self.to_jsonable())
 
     def save(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(self.to_json())
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as handle:
-                handle.write(self.to_json())
+        artifact.write(path_or_file, self.to_jsonable())
 
     @classmethod
     def from_jsonable(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        if payload.get("format") != PLAN_FORMAT:
-            raise ValueError(f"not a mocket fault plan: format "
-                             f"{payload.get('format')!r}")
         injections = [FaultInjection.from_jsonable(raw)
                       for raw in payload["injections"]]
         return cls(payload["seed"], injections, chaos=payload["chaos"],
@@ -216,12 +212,8 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path_or_file) -> "FaultPlan":
-        if hasattr(path_or_file, "read"):
-            payload = json.load(path_or_file)
-        else:
-            with open(path_or_file, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        return cls.from_jsonable(payload)
+        """Read a plan written by :meth:`save` (fails closed)."""
+        return artifact.read(path_or_file, PLAN_FORMAT, cls.from_jsonable)
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.summary()})"

@@ -50,7 +50,7 @@ from ..core.mapping.kinds import TriggerKind
 from ..core.mapping.registry import SpecMapping
 from ..core.testgen.testcase import TestCase, TestSuite
 from ..tlaplus.graph import Edge, StateGraph
-from .kinds import ChaosKind, InjectionMode
+from .kinds import ChaosKind, InjectionMode, PARTITION_FAMILY
 from .plan import EdgeRef, FaultInjection, FaultPlan
 
 __all__ = ["plan_faults", "apply_plan"]
@@ -61,8 +61,6 @@ _DISRUPTIVE_CYCLE = (ChaosKind.BOUNCE, ChaosKind.CRASH)
 # existing single-fault plans stay byte-identical
 _EXTRA_CYCLE = (ChaosKind.LINK_CUT, ChaosKind.DELAY,
                 ChaosKind.PARTIAL_PARTITION, ChaosKind.REORDER)
-_PARTITION_FAMILY = frozenset({ChaosKind.PARTITION,
-                               ChaosKind.PARTIAL_PARTITION})
 
 
 def _case_rng(seed: str, case_id: int, salt: str = "") -> random.Random:
@@ -173,7 +171,7 @@ def _extra_chaos(case: TestCase, index: int, base_kind: ChaosKind,
     at most one disruptive injection per case.
     """
     extras: List[FaultInjection] = []
-    partition_used = base_kind in _PARTITION_FAMILY
+    partition_used = base_kind in PARTITION_FAMILY
     slots = budget - 1
     if chaos:
         # even-index cases already carry the base disruptive injection;
@@ -185,7 +183,7 @@ def _extra_chaos(case: TestCase, index: int, base_kind: ChaosKind,
         for offset in range(len(_EXTRA_CYCLE)):
             candidate = _EXTRA_CYCLE[(index + slot + offset)
                                      % len(_EXTRA_CYCLE)]
-            if candidate in _PARTITION_FAMILY and partition_used:
+            if candidate in PARTITION_FAMILY and partition_used:
                 continue
             if candidate is not ChaosKind.REORDER and len(node_ids) < 2:
                 continue  # link/partition kinds need a second node
@@ -195,7 +193,7 @@ def _extra_chaos(case: TestCase, index: int, base_kind: ChaosKind,
             break
         step = rng.randrange(1, len(case.steps))
         params = _extra_params(kind, node_ids, rng)
-        if kind in _PARTITION_FAMILY:
+        if kind in PARTITION_FAMILY:
             partition_used = True
         extras.append(FaultInjection(
             InjectionMode.CHAOS, kind.value, case.case_id, step,

@@ -19,16 +19,17 @@ campaign deterministically (per-run randomness is salted with the
 global run counter, which the index persists).  Reopening with
 mismatched metadata (different target, seed, suite shape or graph)
 raises :class:`FuzzError` — coverage feedback against the wrong graph
-would be meaningless.
+would be meaningless; a damaged index or plan file raises
+:class:`~repro.artifact.ArtifactError`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from hashlib import blake2b
 from typing import Any, Dict, List, Optional
 
+from .. import artifact
 from ..faults.plan import FaultPlan
 from .fingerprint import Coverage, format_fp
 
@@ -114,17 +115,16 @@ class Corpus:
     def open_or_create(cls, root: Optional[str],
                        meta: Dict[str, Any]) -> "Corpus":
         """Open an existing corpus (validating ``meta``) or start fresh."""
-        if root is None:
-            return cls(None, meta)
-        index_path = os.path.join(root, "corpus.json")
-        if not os.path.exists(index_path):
+        index = None if root is None else os.path.join(root, "corpus.json")
+        if index is None or not os.path.exists(index):
             return cls(root, meta)
-        with open(index_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != CORPUS_FORMAT:
-            raise FuzzError(f"{index_path}: not a mocket fuzz corpus "
-                            f"(format {payload.get('format')!r})")
-        stored = payload.get("meta", {})
+        return artifact.read(index, CORPUS_FORMAT,
+                             lambda payload: cls._reopen(root, meta, payload))
+
+    @classmethod
+    def _reopen(cls, root: str, meta: Dict[str, Any],
+                payload: Dict[str, Any]) -> "Corpus":
+        stored = payload["meta"]
         mismatched = sorted(key for key in set(meta) | set(stored)
                             if meta.get(key) != stored.get(key))
         if mismatched:
@@ -224,11 +224,8 @@ class Corpus:
             path = os.path.join(self.root, entry.plan_filename())
             if not os.path.exists(path):
                 entry.plan.save(path)
-        index = json.dumps(self.to_jsonable(), sort_keys=True,
-                           indent=2) + "\n"
-        with open(os.path.join(self.root, "corpus.json"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(index)
+        artifact.write(os.path.join(self.root, "corpus.json"),
+                       self.to_jsonable())
 
     def __repr__(self) -> str:
         return (f"Corpus({len(self.entries)} entries, {self.runs} runs, "

@@ -26,7 +26,9 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..core.mapping.kinds import TriggerKind
 from ..core.mapping.registry import SpecMapping
 from ..core.testgen.testcase import TestCase, TestSuite
-from ..faults.kinds import ChaosKind, DISRUPTIVE_KINDS, InjectionMode
+from ..faults.kinds import (
+    ChaosKind, DISRUPTIVE_KINDS, InjectionMode, PARTITION_FAMILY,
+)
 from ..faults.legality import plan_violations
 from ..faults.plan import EdgeRef, FaultInjection, FaultPlan
 from ..faults.planner import _extra_params
@@ -248,7 +250,7 @@ class Mutator:
                 continue
             usage[injection.case_id] = usage.get(injection.case_id, 0) + 1
             kind = ChaosKind(injection.kind)
-            if kind in (ChaosKind.PARTITION, ChaosKind.PARTIAL_PARTITION):
+            if kind in PARTITION_FAMILY:
                 partition_used.add(injection.case_id)
             if kind in DISRUPTIVE_KINDS:
                 disruptive_used.add(injection.case_id)
@@ -265,8 +267,7 @@ class Mutator:
                 or with_bias)
         case, _ = pool[rng.randrange(len(pool))]
         kinds = [kind for kind in _BENIGN
-                 if not (kind in (ChaosKind.PARTITION,
-                                  ChaosKind.PARTIAL_PARTITION)
+                 if not (kind in PARTITION_FAMILY
                          and case.case_id in partition_used)
                  and not (kind is not ChaosKind.REORDER
                           and len(self.node_ids) < 2)]

@@ -19,9 +19,9 @@ access.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from .. import artifact
 from .tracer import TraceEvent
 
 __all__ = ["StepRecord", "FaultRecord", "CaseTimeline", "TraceReader"]
@@ -170,24 +170,15 @@ class TraceReader:
         """Stream records in seq order without materializing the trace.
 
         The sink appends records under a lock with an incrementing
-        ``seq``, so file order is already seq order.  Malformed lines
-        raise ``ValueError`` tagged with path and line number.
+        ``seq``, so file order is already seq order.  A malformed line
+        raises :class:`~repro.artifact.ArtifactError` tagged with path
+        and line number.
         """
         if self._events is not None:
-            yield from self._events
-            return
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self._path}:{line_no}: not a JSONL trace record: "
-                        f"{exc}") from exc
-                yield TraceEvent.from_dict(record)
+            return iter(self._events)
+        return artifact.records(
+            self._path, lambda _, record: TraceEvent.from_dict(record),
+            "trace")
 
     @property
     def events(self) -> List[TraceEvent]:

@@ -104,6 +104,8 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "TraceEvent":
+        if not isinstance(record.get("fields", {}), dict):
+            raise TypeError("'fields' is not an object")
         return cls(
             seq=record["seq"],
             ts=record["ts"],

@@ -16,9 +16,12 @@ with the monitor's ``stalled`` check watching the recovery.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
-__all__ = ["build_fault_schedule", "SCHEDULE_FORMAT"]
+from .. import artifact
+
+__all__ = ["build_fault_schedule", "SCHEDULE_FORMAT", "read_schedule",
+           "write_schedule"]
 
 SCHEDULE_FORMAT = "mocket-soak-schedule/1"
 
@@ -69,6 +72,35 @@ def build_fault_schedule(seed: str, until: float,
     return events
 
 
+def write_schedule(path: str, seed: str, faults: bool,
+                   events: List[List[Dict[str, Any]]]) -> None:
+    """Save one event list per shard for ``mocket soak --schedule``."""
+    artifact.write(path, {"format": SCHEDULE_FORMAT, "seed": seed,
+                          "shards": len(events), "faults": faults,
+                          "events": events})
+
+
+def read_schedule(path: str) -> Tuple[List[List[Dict[str, Any]]], bool]:
+    """``(events per shard, faults)`` from a :func:`write_schedule` file."""
+    return artifact.read(path, SCHEDULE_FORMAT, _decode_schedule)
+
+
+#: op -> the keys an event of it carries
+_EVENT_KEYS = {"partition": {"at", "node"}, "crash": {"at", "node"},
+               "restart": {"at", "node"}, "heal": {"at"},
+               "delay": {"at", "src", "dst", "count"}}
+
+
+def _decode_schedule(doc: Dict[str, Any]):
+    events = doc["events"]
+    for event in [event for shard in events for event in shard]:
+        keys = _EVENT_KEYS.get(event["op"])
+        if (keys is None or not keys <= event.keys()
+                or not isinstance(event["at"], (int, float))):
+            raise ValueError(f"not a fault event: {event!r}")
+    return events, bool(doc.get("faults", any(events)))
+
+
 def apply_schedule(cluster, scheduler, events: Sequence[Dict[str, Any]]) -> None:
     """Arm every schedule event on the shard's event loop."""
     for event in events:
@@ -90,5 +122,5 @@ def _fire(cluster, event: Dict[str, Any]) -> None:
             cluster.restart_node(event["node"])
     elif op == "delay":
         cluster.delay_link(event["src"], event["dst"], event["count"])
-    else:  # pragma: no cover - schedule files are validated upstream
+    else:  # pragma: no cover - read_schedule checks every op
         raise ValueError(f"unknown soak fault op {op!r}")

@@ -78,6 +78,12 @@ class SoakConfig:
         if schedule is not None and len(schedule) != shards:
             raise ValueError(
                 f"schedule has {len(schedule)} shard entries, need {shards}")
+        nodes = SimRaftKvConfig().node_ids
+        for event in [event for shard in schedule or () for event in shard]:
+            if any(event.get(key, nodes[0]) not in nodes
+                   for key in ("node", "src", "dst")):
+                raise ValueError(f"schedule event {event!r} names a node "
+                                 f"outside {', '.join(nodes)}")
         self.target = target
         self.ops = ops
         self.seed = str(seed)

@@ -68,7 +68,7 @@ class TestConformCommand:
     def test_missing_log_exits_two(self, capsys):
         assert main(["conform", "/nonexistent/x.jsonl",
                      "--spec", "toycache"]) == 2
-        assert "no such log" in capsys.readouterr().err
+        assert "no such 'obs' log" in capsys.readouterr().err
 
     def test_unknown_adapter_exits_two(self, toycache_log, capsys):
         path, _records = toycache_log

@@ -167,15 +167,14 @@ class TestArtifactsFailClosed:
 
     @pytest.mark.parametrize("argv, body, line", [
         (["conform", "{f}", "--spec", "toycache"], None,
-         "no such log: {f}"),
+         "no such 'obs' log: {f}"),
         (["conform", "{f}", "--spec", "toycache", "--adapter", "jsonl"],
          "not json", "{f}:1: not a 'jsonl' log record: "
                      "Expecting value: line 1 column 1 (char 0)"),
         (["fuzz", "toycache", "--budget", "1", "--seed-plan", "{f}"], None,
-         "no such seed plan: {f}"),
+         "no such fault plan: {f}"),
         (["soak", "raftkv", "--schedule", "{f}"], None,
-         "cannot read schedule {f}: "
-         "[Errno 2] No such file or directory: '{f}'"),
+         "no such soak schedule: {f}"),
         (["soak", "raftkv", "--schedule", "{f}"], '{"format": "other/1"}',
          "{f} is not a mocket-soak-schedule/1 file"),
     ])

@@ -57,17 +57,20 @@ class TestCheckpointResume:
                      "--resume"]) == 0
         assert "13 states" in capsys.readouterr().out
 
-    def test_resume_without_prior_checkpoint_fails(self, tmp_path):
-        from repro.engine import CheckpointError
+    def test_resume_without_prior_checkpoint_fails(self, tmp_path, capsys):
+        assert main(["check", "example",
+                     "--checkpoint", str(tmp_path / "empty"),
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mocket check: ") and err.count("\n") == 1
+        assert "no checkpoint found" in err
 
-        with pytest.raises(CheckpointError, match="no checkpoint found"):
-            main(["check", "example",
-                  "--checkpoint", str(tmp_path / "empty"), "--resume"])
-
-    def test_resume_wrong_model_fails(self, tmp_path):
-        from repro.engine import CheckpointError
-
+    def test_resume_wrong_model_fails(self, tmp_path, capsys):
         directory = str(tmp_path / "ck")
         assert main(["check", "example", "--checkpoint", directory]) == 0
-        with pytest.raises(CheckpointError, match="is for spec"):
-            main(["check", "raftkv", "--checkpoint", directory, "--resume"])
+        capsys.readouterr()
+        assert main(["check", "raftkv", "--checkpoint", directory,
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mocket check: ") and err.count("\n") == 1
+        assert "is for spec" in err

@@ -103,7 +103,7 @@ class TestDiamonds:
 class TestPorProperties:
     """Hypothesis: POR's exclusions are sound on arbitrary graphs."""
 
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     @settings(max_examples=60, deadline=None)
@@ -111,6 +111,16 @@ class TestPorProperties:
         st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from("ABC")),
         min_size=1, max_size=14,
     ))
+    # A known POR defect, not a flake: the diamond s1: A/C join s4 loses
+    # both second hops.  Diamond s1 -A-> s4 -C-> s4 / s1 -C-> s1 -A-> s4
+    # drops 4 -C-> 4; the diamond s1 -C-> s3 -A-> s4 is then skipped
+    # without pinning 3 -A-> 4, which diamond s5: A/B drops next.
+    # Pinning it moves the pinned suite hashes (ROADMAP, POR item).
+    @example([(5, 2, "A"), (4, 4, "C"), (2, 4, "B"), (1, 4, "A"),
+              (3, 4, "A"), (5, 3, "B"), (1, 1, "C"), (1, 3, "C")]).xfail(
+        raises=AssertionError,
+        reason="POR skips a half-dropped diamond without pinning its "
+               "other second hop")
     def test_property_por_keeps_one_interleaving_per_diamond(self, triples):
         graph = _graph([(s, d, n) for s, d, n in triples], n_states=6)
         dropped = {e.key() for e in por_excluded_edges(graph, seed=1)}

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.cli import main
 from repro.core import generate_test_cases
 from repro.core.testgen import TestSuite
@@ -39,7 +40,8 @@ class TestSuiteRoundtrip:
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="not a mocket test suite"):
+        with pytest.raises(ArtifactError,
+                           match="is not a mocket-test-suite/1 file"):
             TestSuite.load(str(path))
 
     def test_loaded_suite_runs(self, suite, tmp_path):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.engine import CheckpointError, CheckpointStore
 
 
@@ -65,7 +66,7 @@ class TestValidation:
         os.makedirs(store.directory)
         with open(store.path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        with pytest.raises(CheckpointError, match="unreadable"):
+        with pytest.raises(ArtifactError, match="cannot read checkpoint"):
             store.load()
 
     def test_wrong_format(self, tmp_path):
@@ -73,7 +74,7 @@ class TestValidation:
         os.makedirs(store.directory)
         with open(store.path, "w", encoding="utf-8") as handle:
             json.dump({"format": "something-else/9"}, handle)
-        with pytest.raises(CheckpointError, match="not a mocket-checkpoint/1"):
+        with pytest.raises(ArtifactError, match="not a mocket-checkpoint/1"):
             store.load()
 
     def test_spec_mismatch(self, tmp_path):

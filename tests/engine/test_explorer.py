@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.engine import CheckpointError, CheckpointStore, graphs_equivalent
 from repro.engine import fingerprint as fingerprint_module
 from repro.specs import build_example_spec
@@ -294,7 +295,8 @@ class TestCheckpointResume:
         payload = store.load()
         damage(payload)
         store.save(payload)
-        with pytest.raises(CheckpointError, match="malformed") as excinfo:
+        with pytest.raises(ArtifactError,
+                           match="cannot read checkpoint") as excinfo:
             check(_counter_spec(limit=4), checkpoint=store, resume=True)
         assert "\n" not in str(excinfo.value)
 

@@ -6,7 +6,9 @@ correct implementation must shrug off (heal-on-retry), making exit
 codes and triage output easy to pin down.
 """
 
+import copy
 import json
+import re
 
 import pytest
 
@@ -59,7 +61,7 @@ class TestFaultsRunAndReplay:
         bogus.write_text(json.dumps({"format": "nope"}))
         assert main(["faults", "replay", "toycache",
                      "--plan", str(bogus)]) == 2
-        assert "not a mocket fault plan" in capsys.readouterr().err
+        assert "is not a mocket-fault-plan/1 file" in capsys.readouterr().err
 
 
 class TestTestFaultFlags:
@@ -183,3 +185,59 @@ class TestScenariosVerb:
             assert set(row) == {"name", "target", "expected", "outcome",
                                 "ok", "detail"}
             assert row["ok"] is True
+
+
+def _rename_chaos_nodes(doc):
+    for injection in doc["injections"]:
+        if injection["mode"] == "chaos":
+            injection["params"] = re.sub(r"'n\d'", "'n9'",
+                                         injection["params"])
+
+
+def _chaos_steps_to_999(doc):
+    for injection in doc["injections"]:
+        if injection["mode"] == "chaos":
+            injection["step_index"] = 999
+
+
+def _modeled_edge_to_99999(doc):
+    next(injection for injection in doc["injections"]
+         if injection["mode"] == "modeled")["edge"]["dst"] = 99999
+
+
+def _planned_for_toycache(doc):
+    doc["target"] = "toycache"
+
+
+class TestSavedPlanMustFit:
+    """``faults replay|shrink`` check a plan read from disk against the
+    target's canonical graph, base suite and cluster before running it:
+    a hand-edited plan exits 2 with its first violation."""
+
+    @pytest.fixture(scope="class")
+    def plan(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("plan") / "plan.json"
+        assert main(["faults", "plan", "raftkv", "--fault-seed", "1",
+                     "--chaos", "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("verb", ["replay", "shrink"])
+    @pytest.mark.parametrize("edit, reason", [
+        (_rename_chaos_nodes, "isolate='n9' is not a cluster node"),
+        (_chaos_steps_to_999, "step 999 outside [1, "),
+        (_modeled_edge_to_99999, "s99999"),
+        (_planned_for_toycache, "it was planned for 'toycache'"),
+    ], ids=["unknown-node", "step-out-of-range", "edge-not-in-graph",
+            "other-target"])
+    def test_hand_edited_plan_exits_two(self, plan, verb, edit, reason,
+                                        tmp_path, capsys):
+        doc = copy.deepcopy(plan)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["faults", verb, "raftkv", "--plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mocket faults: fault plan {path} does not "
+                              f"fit raftkv: ")
+        assert reason in err and err.count("\n") == 1

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.core import generate_test_cases
 from repro.engine import canonicalize
 from repro.faults import (
@@ -102,8 +103,9 @@ class TestPlanSerialization:
         assert loaded.chaos == plan.chaos
 
     def test_format_marker_is_checked(self):
-        with pytest.raises(ValueError, match="not a mocket fault plan"):
-            FaultPlan.from_jsonable({"format": "something-else"})
+        with pytest.raises(ArtifactError,
+                           match="is not a mocket-fault-plan/1 file"):
+            FaultPlan.load(io.StringIO('{"format": "something-else"}'))
         assert PLAN_FORMAT == "mocket-fault-plan/1"
 
 

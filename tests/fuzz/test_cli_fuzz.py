@@ -37,7 +37,7 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.json")
         assert main(["fuzz", "toycache", "--budget", "1", "--cases", "2",
                      "--seed-plan", missing]) == 2
-        assert "no such seed plan" in capsys.readouterr().err
+        assert "no such fault plan" in capsys.readouterr().err
 
 
 class TestCorpusDirectory:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.artifact import ArtifactError
 from repro.faults import plan_faults
 from repro.fuzz import Corpus, CorpusEntry, Coverage, FuzzError
 from repro.fuzz.corpus import plan_digest
@@ -72,7 +73,8 @@ class TestCorpusPersistence:
         root = tmp_path / "corpus"
         root.mkdir()
         (root / "corpus.json").write_text('{"format": "something-else"}')
-        with pytest.raises(FuzzError, match="not a mocket fuzz corpus"):
+        with pytest.raises(ArtifactError,
+                           match="is not a mocket-fuzz-corpus/1 file"):
             Corpus.open_or_create(str(root), META)
 
     def test_rootless_corpus_never_touches_disk(self, toykit):

@@ -73,7 +73,7 @@ class TestScheduleFiles:
         missing = str(tmp_path / "nope.json")
         assert main(["soak", "raftkv", "--ops", "10",
                      "--schedule", missing]) == 2
-        assert "cannot read schedule" in capsys.readouterr().err
+        assert "no such soak schedule" in capsys.readouterr().err
 
     def test_wrong_format_exits_two(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
@@ -81,6 +81,22 @@ class TestScheduleFiles:
         assert main(["soak", "raftkv", "--ops", "10",
                      "--schedule", str(bogus)]) == 2
         assert "mocket-soak-schedule/1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("event", [
+        {"at": 5.0, "op": "crash", "node": "n9"},
+        {"at": 5.0, "op": "delay", "src": "n1", "dst": "n9", "count": 3},
+        {"at": 5.0, "op": "hang", "node": "n1"},
+        {"at": "5", "op": "heal"},
+        {"at": 5.0, "op": "partition"},
+    ], ids=["unknown-node", "unknown-link-end", "unknown-op", "text-time",
+            "missing-node"])
+    def test_unplayable_event_exits_two(self, event, capsys, tmp_path):
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps({"format": "mocket-soak-schedule/1",
+                                     "events": [[event]]}))
+        assert main(["soak", "raftkv", "--ops", "10",
+                     "--schedule", str(sched)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestTraceIntegration:
