@@ -13,12 +13,7 @@ the planner's k-budget rules with :func:`plan_violations`.
 See docs/FAULTS.md.
 """
 
-from .kinds import (
-    ChaosKind,
-    DISRUPTIVE_KINDS,
-    InjectionMode,
-    TRANSPARENT_KINDS,
-)
+from .kinds import ChaosKind, InjectionMode
 from .legality import plan_is_legal, plan_violations
 from .nemesis import Nemesis
 from .plan import EdgeRef, FaultInjection, FaultPlan, PLAN_FORMAT
@@ -39,8 +34,6 @@ from .triage import divergence_id, render_triage, triage
 __all__ = [
     "ChaosKind",
     "InjectionMode",
-    "TRANSPARENT_KINDS",
-    "DISRUPTIVE_KINDS",
     "PLAN_FORMAT",
     "EdgeRef",
     "FaultInjection",

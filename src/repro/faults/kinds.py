@@ -1,4 +1,5 @@
-"""Vocabulary of the nemesis layer: injection modes and chaos kinds.
+"""Vocabulary of the nemesis layer: injection modes, chaos kinds and
+the one table of rules every chaos injection obeys.
 
 Two injection modes, with very different soundness stories:
 
@@ -14,22 +15,33 @@ Two injection modes, with very different soundness stories:
   until heal — so per-step checking is kept.  Disruptive kinds (bounce,
   crash, message corruption) perturb node or network state outside the
   verified space, so the runner switches the case to *convergence
-  mode*: per-step state equality is relaxed and the implementation must
-  re-converge to the final verified state within a bounded retry
-  budget, or the case is reported.
+  mode*: the implementation must re-converge to the final verified
+  state, or the case is reported.
+
+:data:`RULES` states once what each chaos kind is and where it may go;
+the planner, the legality checker, the shrinker and the fuzz mutators
+all read it (docs/FAULTS.md § "Chaos kinds").  Every function below
+draws from the caller's seeded stream in a fixed order, so plans,
+corpora and shrink logs are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
+import random
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "InjectionMode",
     "ChaosKind",
-    "TRANSPARENT_KINDS",
-    "DISRUPTIVE_KINDS",
-    "PARTITION_FAMILY",
-    "REQUIRED_PARAMS",
+    "KindRule",
+    "RULES",
+    "PARAM_BOUNDS",
+    "step_bounds",
+    "admits",
+    "draw_params",
+    "weaker_variants",
+    "stronger_variants",
 ]
 
 
@@ -51,40 +63,138 @@ class ChaosKind(enum.Enum):
     CORRUPT = "corrupt"       # corrupt one in-flight message (checksum drop)
 
 
-# Chaos kinds the specification cannot observe: the message bag is
-# order-free and a partition/cut/delay holds (not drops) messages, so a
-# correct implementation behaves identically once healed.
-TRANSPARENT_KINDS = frozenset({
-    ChaosKind.PARTITION,
-    ChaosKind.REORDER,
-    ChaosKind.LINK_CUT,
-    ChaosKind.PARTIAL_PARTITION,
-    ChaosKind.DELAY,
-})
+class KindRule(NamedTuple):
+    """One chaos kind's row of the rule table."""
 
-# Chaos kinds that perturb node or network state outside the verified
-# state space; these switch the case to convergence-mode checking.
-# CORRUPT is disruptive because the corrupted message is *lost* (the
-# receiver's checksum rejects it), which the spec's bag never models.
-DISRUPTIVE_KINDS = frozenset({
-    ChaosKind.BOUNCE,
-    ChaosKind.CRASH,
-    ChaosKind.CORRUPT,
-})
+    kind: ChaosKind
+    # perturbs state outside the verified space: the case switches to
+    # convergence mode, and the window may start after the last step
+    disruptive: bool
+    # sets the partition groups: a second one would overwrite the first
+    partition: bool
+    # the parameter keys the nemesis reads, in draw order
+    params: Tuple[str, ...]
+    # cuts one node off from another: meaningless on a one-node cluster
+    two_nodes: bool
+    # optional keys drawn after ``params`` (shrink/fuzz dials only)
+    extra: Tuple[str, ...] = ()
 
-# Chaos kinds that set the partition groups: at most one per case, or
-# the second would overwrite the first's groups.
-PARTITION_FAMILY = frozenset({ChaosKind.PARTITION,
-                              ChaosKind.PARTIAL_PARTITION})
+    @property
+    def families(self) -> Tuple[str, ...]:
+        """The capped families this kind belongs to: a case holds at
+        most one injection of each — one disruptive window, because
+        convergence needs a single perturbation to converge from, and
+        one partition-family injection."""
+        return tuple(name for name, member in (
+            ("disruptive", self.disruptive),
+            ("partition-family", self.partition)) if member)
 
-# The parameter keys each chaos kind's nemesis ``apply`` reads.
-REQUIRED_PARAMS = {
-    ChaosKind.PARTITION: ("isolate",),
-    ChaosKind.PARTIAL_PARTITION: ("group",),
-    ChaosKind.LINK_CUT: ("src", "dst"),
-    ChaosKind.DELAY: ("src", "dst", "count"),
-    ChaosKind.REORDER: ("node",),
-    ChaosKind.CORRUPT: ("node",),
-    ChaosKind.BOUNCE: ("node",),
-    ChaosKind.CRASH: ("node",),
-}
+
+#: one row per kind, in the order the fuzz mutators draw from
+RULES: Dict[ChaosKind, KindRule] = {rule.kind: rule for rule in (
+    # kind                        disrupt partition params  two_nodes extra
+    KindRule(ChaosKind.PARTITION, False, True, ("isolate",), True),
+    KindRule(ChaosKind.REORDER, False, False, ("node",), False),
+    KindRule(ChaosKind.LINK_CUT, False, False, ("src", "dst"), True,
+             ("heal_after",)),
+    KindRule(ChaosKind.DELAY, False, False, ("src", "dst", "count"), True),
+    KindRule(ChaosKind.PARTIAL_PARTITION, False, True, ("group",), True,
+             ("heal_after",)),
+    KindRule(ChaosKind.BOUNCE, True, False, ("node",), False),
+    KindRule(ChaosKind.CRASH, True, False, ("node",), False),
+    KindRule(ChaosKind.CORRUPT, True, False, ("node",), False),
+)}
+
+#: ``randrange`` bounds of the integer parameters: a fresh draw lies in
+#: ``[low, high)``, weakening stops at ``low`` and strengthening at
+#: ``high``; a partition group always leaves one node outside
+PARAM_BOUNDS: Dict[str, Tuple[int, int]] = {"count": (1, 4),
+                                            "heal_after": (1, 3)}
+
+
+def step_bounds(kind: ChaosKind, steps: int) -> Tuple[int, int]:
+    """``randrange`` bounds of a chaos step index in a ``steps``-step
+    case: ``[1, steps-1]`` for transparent kinds, ``[1, steps]`` for
+    disruptive ones (an index equal to the case length means "after
+    the last step")."""
+    return 1, steps + 1 if RULES[kind].disruptive else steps
+
+
+def admits(kind: ChaosKind, held: Iterable[ChaosKind],
+           node_count: int) -> bool:
+    """Whether a case already holding chaos kinds ``held`` may take one
+    more ``kind`` on a ``node_count``-node cluster."""
+    rule = RULES[kind]
+    if rule.two_nodes and node_count < 2:
+        return False
+    taken = {family for other in held for family in RULES[other].families}
+    return not taken.intersection(rule.families)
+
+
+def draw_params(kind: ChaosKind, node_ids: Sequence[str],
+                rng: random.Random) -> Dict[str, object]:
+    """Seeded parameters for one ``kind`` injection."""
+    params: Dict[str, object] = {}
+    rule = RULES[kind]
+    for key in rule.params + rule.extra:
+        if key in ("isolate", "node", "src"):
+            params[key] = node_ids[rng.randrange(len(node_ids))]
+        elif key == "dst":
+            others = [n for n in node_ids if n != params["src"]] \
+                or [params["src"]]
+            params[key] = others[rng.randrange(len(others))]
+        elif key == "group":
+            size = rng.randrange(1, len(node_ids)) if len(node_ids) > 1 else 1
+            params[key] = sorted(rng.sample(list(node_ids), size))
+        else:
+            params[key] = rng.randrange(*PARAM_BOUNDS[key])
+    return params
+
+
+def _moved(params, key: str, direction: int,
+           node_ids: Sequence[str]) -> Optional[object]:
+    """``params[key]`` one step weaker (-1) or stronger (+1), or None
+    at its bound or when absent."""
+    value = params.get(key)
+    if key == "group":
+        if not isinstance(value, (list, tuple)):
+            return None
+        if direction < 0:
+            return list(value)[:-1] if len(value) > 1 else None
+        outside = sorted(set(node_ids) - set(value))
+        return sorted(list(value) + [outside[0]]) if len(outside) > 1 else None
+    if not isinstance(value, int):
+        return None
+    low, high = PARAM_BOUNDS[key]
+    if direction < 0:
+        return value - 1 if value > low else None
+    return value + 1 if value < high else None
+
+
+def _variants(injection, keys: Sequence[str], direction: int,
+              node_ids: Sequence[str]) -> List:
+    variants = []
+    for key in keys:
+        value = _moved(injection.params, key, direction, node_ids)
+        if value is not None:
+            variants.append(injection.replace(
+                params={**injection.params, key: value}))
+    return variants
+
+
+def weaker_variants(injection) -> List:
+    """Strictly weaker single-step variants of one injection: a shorter
+    modeled tail, a smaller delay count, a smaller partition group, an
+    earlier heal — in the order the shrinker and fuzzer index them."""
+    shorter = [injection.replace(tail=injection.tail[:-1])] \
+        if injection.tail else []
+    return shorter + _variants(injection, ("count", "group", "heal_after"),
+                               -1, ())
+
+
+def stronger_variants(injection, node_ids: Sequence[str]) -> List:
+    """The weakening dimensions inverted and bounded so repeated
+    strengthening cannot run away: longer delays, later heals, wider
+    partition groups (always leaving one node outside)."""
+    return _variants(injection, ("count", "heal_after", "group"), +1,
+                     node_ids)

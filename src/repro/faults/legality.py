@@ -3,19 +3,14 @@
 The planner only ever *emits* legal plans, but the fuzzer *mutates*
 them and ``mocket faults replay|shrink`` read them from disk, so
 legality needs to be checkable after the fact.  :func:`plan_violations`
-checks the k-budget rules the planner documents, from the rule table
-it shares with the planner (:mod:`repro.faults.kinds`):
+checks the rules the planner follows, read from the rule table it
+shares with the planner, the shrinker and the fuzz mutators
+(:data:`repro.faults.kinds.RULES`):
 
-* at most one **disruptive** injection per case — disruptive windows
-  must not overlap, because convergence-mode checking needs a single
-  perturbation to converge from,
-* at most one **partition-family** injection (partition /
-  partial-partition) per case — a second would overwrite the first's
-  groups,
-* link cuts, delays and reorders stack freely,
-* chaos step indices stay in planner range: ``[1, len-1]`` for
-  transparent kinds, ``[1, len]`` for disruptive ones (an index equal
-  to the case length means "after the last step"),
+* at most one **disruptive** and at most one **partition-family**
+  injection per case,
+* chaos step indices inside :func:`~repro.faults.kinds.step_bounds`,
+* each kind's required parameters, naming cluster nodes,
 * modeled splices must be real graph paths: the spliced edge leaves
   the state the base case reaches at the splice position, the tail is
   contiguous, and the derived case id collides with nothing,
@@ -35,10 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.testgen.testcase import TestSuite
 from ..tlaplus.graph import StateGraph
-from .kinds import (
-    ChaosKind, DISRUPTIVE_KINDS, InjectionMode, PARTITION_FAMILY,
-    REQUIRED_PARAMS,
-)
+from .kinds import RULES, ChaosKind, InjectionMode, step_bounds
 from .plan import FaultInjection, FaultPlan
 
 __all__ = ["plan_violations", "plan_is_legal"]
@@ -70,9 +62,7 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
     used_ids = set(by_id)
     node_set = set(node_ids) if node_ids is not None else None
 
-    chaos_count: Dict[int, int] = {}
-    disruptive_count: Dict[int, int] = {}
-    partition_count: Dict[int, int] = {}
+    held: Dict[int, List[ChaosKind]] = {}
     derived_seen: Dict[int, int] = {}
 
     for index, injection in enumerate(plan.injections):
@@ -96,41 +86,35 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
             problems.append(f"{where}: case #{case.case_id} is too short "
                             f"for chaos ({len(case.steps)} steps)")
             continue
-        top = (len(case.steps) if kind in DISRUPTIVE_KINDS
-               else len(case.steps) - 1)
-        if not 1 <= injection.step_index <= top:
+        low, high = step_bounds(kind, len(case.steps))
+        if not low <= injection.step_index < high:
             problems.append(
-                f"{where}: step {injection.step_index} outside [1, {top}] "
-                f"for case #{case.case_id}")
-        chaos_count[case.case_id] = chaos_count.get(case.case_id, 0) + 1
-        if kind in DISRUPTIVE_KINDS:
-            disruptive_count[case.case_id] = (
-                disruptive_count.get(case.case_id, 0) + 1)
-        if kind in PARTITION_FAMILY:
-            partition_count[case.case_id] = (
-                partition_count.get(case.case_id, 0) + 1)
+                f"{where}: step {injection.step_index} outside "
+                f"[{low}, {high - 1}] for case #{case.case_id}")
+        held.setdefault(case.case_id, []).append(kind)
         problems.extend(_param_violations(injection, kind, where, node_set))
 
-    for case_id, count in sorted(disruptive_count.items()):
-        if count > 1:
-            problems.append(f"case #{case_id}: {count} disruptive "
-                            f"injections (at most 1 per case)")
-    for case_id, count in sorted(partition_count.items()):
-        if count > 1:
-            problems.append(f"case #{case_id}: {count} partition-family "
-                            f"injections (at most 1 per case)")
+    # the per-case caps, one family at a time: a kind the rule table
+    # would not admit next to what its case already holds
+    for family in ("disruptive", "partition-family"):
+        for case_id, kinds in sorted(held.items()):
+            count = sum(family in RULES[kind].families for kind in kinds)
+            if count > 1:
+                problems.append(f"case #{case_id}: {count} {family} "
+                                f"injections (at most 1 per case)")
     if max_faults_per_case is not None:
-        for case_id, count in sorted(chaos_count.items()):
+        for case_id, kinds in sorted(held.items()):
             allowed = max_faults_per_case
-            if max_faults_per_case == 1 and disruptive_count.get(case_id):
+            if max_faults_per_case == 1 and any(RULES[kind].disruptive
+                                                for kind in kinds):
                 # the legacy k=1 shape: under --chaos the single
                 # disruptive window rides on top of the base transparent
                 # injection (keeps k=1 plans byte-identical to pre-k
                 # plan files; at k>=2 the window consumes a k slot)
                 allowed += 1
-            if count > allowed:
+            if len(kinds) > allowed:
                 problems.append(
-                    f"case #{case_id}: {count} chaos injections exceed "
+                    f"case #{case_id}: {len(kinds)} chaos injections exceed "
                     f"the k-budget ({max_faults_per_case})")
     return problems
 
@@ -212,17 +196,14 @@ def _param_violations(injection: FaultInjection, kind: ChaosKind,
                       where: str, node_set) -> List[str]:
     problems: List[str] = []
     params = injection.params
-    for key in REQUIRED_PARAMS[kind]:
+    for key in RULES[kind].params:
         if key not in params:
             problems.append(f"{where}: missing parameter {key!r}")
             return problems
-    count = params.get("count")
-    if count is not None and (not isinstance(count, int) or count < 1):
-        problems.append(f"{where}: count must be a positive int")
-    heal_after = params.get("heal_after")
-    if heal_after is not None and (not isinstance(heal_after, int)
-                                   or heal_after < 1):
-        problems.append(f"{where}: heal_after must be a positive int")
+    for key in ("count", "heal_after"):
+        value = params.get(key)
+        if value is not None and (not isinstance(value, int) or value < 1):
+            problems.append(f"{where}: {key} must be a positive int")
     if node_set is None:
         return problems
     for key in ("isolate", "node", "src", "dst"):
@@ -239,7 +220,7 @@ def _param_violations(injection: FaultInjection, kind: ChaosKind,
         if len(group) >= len(node_set):
             problems.append(f"{where}: group must leave at least one node "
                             f"outside the partition")
-    if kind in (ChaosKind.LINK_CUT, ChaosKind.DELAY):
+    if "src" in RULES[kind].params:
         if params.get("src") == params.get("dst") and len(node_set) > 1:
             problems.append(f"{where}: src and dst must differ")
     return problems

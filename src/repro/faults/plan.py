@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .. import artifact
 from ..tlaplus.dot import decode_value, encode_value
 from ..tlaplus.state import ActionLabel
-from .kinds import ChaosKind, DISRUPTIVE_KINDS, InjectionMode
+from .kinds import RULES, ChaosKind, InjectionMode
 
 __all__ = ["PLAN_FORMAT", "EdgeRef", "FaultInjection", "FaultPlan"]
 
@@ -85,7 +85,7 @@ class FaultInjection:
     @property
     def disruptive(self) -> bool:
         return (self.mode is InjectionMode.CHAOS
-                and ChaosKind(self.kind) in DISRUPTIVE_KINDS)
+                and RULES[ChaosKind(self.kind)].disruptive)
 
     def replace(self, *, params: Optional[Dict[str, Any]] = None,
                 tail: Optional[Sequence[EdgeRef]] = None) -> "FaultInjection":

@@ -27,15 +27,9 @@ and each chaos-eligible case fills its ``k``-injection budget — the
 base transparent injection, one disruptive window (under ``chaos``,
 alternating bounce/crash on even cases and corruption on odd ones),
 and extra transparent injections from the wider vocabulary (one-way
-link cuts, per-link delays, partial partitions, reorders) — subject to
-the legality rules:
-
-* at most one partition-family injection per case (a second
-  partition/partial-partition would overwrite the first's groups),
-* at most one *disruptive* injection per case — disruptive windows
-  must not overlap, because convergence-mode checking needs a single
-  perturbation to converge from,
-* link cuts, delays and reorders stack freely.
+link cuts, per-link delays, partial partitions, reorders), each one the
+rule table admits (:mod:`repro.faults.kinds`: one disruptive and one
+partition-family injection per case, cuts need a second node).
 
 ``k == 1`` consumes the seeded dice exactly as earlier releases did, so
 existing plans stay byte-identical.
@@ -50,7 +44,9 @@ from ..core.mapping.kinds import TriggerKind
 from ..core.mapping.registry import SpecMapping
 from ..core.testgen.testcase import TestCase, TestSuite
 from ..tlaplus.graph import Edge, StateGraph
-from .kinds import ChaosKind, InjectionMode, PARTITION_FAMILY
+from .kinds import (
+    ChaosKind, InjectionMode, admits, draw_params, step_bounds,
+)
 from .plan import EdgeRef, FaultInjection, FaultPlan
 
 __all__ = ["plan_faults", "apply_plan"]
@@ -135,43 +131,39 @@ def plan_faults(
         if len(case.steps) < 2:
             continue
         rng = _case_rng(seed, case.case_id, "chaos")
-        kind = _BENIGN_CYCLE[index % len(_BENIGN_CYCLE)]
-        node = node_ids[rng.randrange(len(node_ids))]
-        step = rng.randrange(1, len(case.steps))
-        params = ({"isolate": node} if kind is ChaosKind.PARTITION
-                  else {"node": node})
-        injections.append(FaultInjection(
-            InjectionMode.CHAOS, kind.value, case.case_id, step,
-            params=params))
+        held = [_BENIGN_CYCLE[index % len(_BENIGN_CYCLE)]]
         if chaos and index % 2 == 0:
-            disruptive = _DISRUPTIVE_CYCLE[(index // 2) % len(_DISRUPTIVE_CYCLE)]
-            node = node_ids[rng.randrange(len(node_ids))]
-            # an index equal to the case length means "after the last step"
-            step = rng.randrange(1, len(case.steps) + 1)
+            held.append(_DISRUPTIVE_CYCLE[(index // 2)
+                                          % len(_DISRUPTIVE_CYCLE)])
+        for kind in held:
+            # the base dice draw the node before the step
+            params = draw_params(kind, node_ids, rng)
+            step = rng.randrange(*step_bounds(kind, len(case.steps)))
             injections.append(FaultInjection(
-                InjectionMode.CHAOS, disruptive.value, case.case_id, step,
-                params={"node": node}))
+                InjectionMode.CHAOS, kind.value, case.case_id, step,
+                params=params))
         if max_faults_per_case > 1:
             injections.extend(_extra_chaos(
-                case, index, kind, node_ids, chaos, max_faults_per_case,
+                case, index, held, node_ids, chaos, max_faults_per_case,
                 _case_rng(seed, case.case_id, "chaos+")))
 
     return FaultPlan(seed, injections, chaos=chaos, target=target)
 
 
-def _extra_chaos(case: TestCase, index: int, base_kind: ChaosKind,
+def _extra_chaos(case: TestCase, index: int, held: List[ChaosKind],
                  node_ids: Sequence[str], chaos: bool, budget: int,
                  rng: random.Random) -> List[FaultInjection]:
     """Extra per-case injections from the wide vocabulary (k > 1 only).
 
     Walks ``_EXTRA_CYCLE`` from a per-case offset so coverage spreads,
-    skipping kinds the legality rules forbid.  With ``chaos=True``,
-    odd-index cases (which the base dice leave non-disruptive) trade
-    their last slot for a CORRUPT injection — keeping the invariant of
-    at most one disruptive injection per case.
+    taking the first kind the rule table admits next to the case's
+    ``held`` kinds.  With ``chaos=True``, odd-index cases (which the
+    base dice leave non-disruptive) trade their last slot for a CORRUPT
+    injection — keeping the invariant of at most one disruptive
+    injection per case.
     """
     extras: List[FaultInjection] = []
-    partition_used = base_kind in PARTITION_FAMILY
+    held = list(held)
     slots = budget - 1
     if chaos:
         # even-index cases already carry the base disruptive injection;
@@ -179,50 +171,25 @@ def _extra_chaos(case: TestCase, index: int, base_kind: ChaosKind,
         # way one slot of the k-budget is spent on a disruptive window
         slots -= 1
     for slot in range(slots):
-        kind = None
-        for offset in range(len(_EXTRA_CYCLE)):
-            candidate = _EXTRA_CYCLE[(index + slot + offset)
-                                     % len(_EXTRA_CYCLE)]
-            if candidate in PARTITION_FAMILY and partition_used:
-                continue
-            if candidate is not ChaosKind.REORDER and len(node_ids) < 2:
-                continue  # link/partition kinds need a second node
-            kind = candidate
+        cycle = [_EXTRA_CYCLE[(index + slot + offset) % len(_EXTRA_CYCLE)]
+                 for offset in range(len(_EXTRA_CYCLE))]
+        kind = next((kind for kind in cycle
+                     if admits(kind, held, len(node_ids))), None)
+        if kind is None:  # pragma: no cover - reorder is always admitted
             break
-        if kind is None:  # pragma: no cover - cycle always has legal kinds
-            break
-        step = rng.randrange(1, len(case.steps))
-        params = _extra_params(kind, node_ids, rng)
-        if kind in PARTITION_FAMILY:
-            partition_used = True
+        step = rng.randrange(*step_bounds(kind, len(case.steps)))
+        held.append(kind)
         extras.append(FaultInjection(
             InjectionMode.CHAOS, kind.value, case.case_id, step,
-            params=params))
+            params=draw_params(kind, node_ids, rng)))
     if chaos and index % 2 == 1:
-        node = node_ids[rng.randrange(len(node_ids))]
-        step = rng.randrange(1, len(case.steps) + 1)
+        params = draw_params(ChaosKind.CORRUPT, node_ids, rng)
+        step = rng.randrange(*step_bounds(ChaosKind.CORRUPT,
+                                          len(case.steps)))
         extras.append(FaultInjection(
             InjectionMode.CHAOS, ChaosKind.CORRUPT.value, case.case_id,
-            step, params={"node": node}))
+            step, params=params))
     return extras
-
-
-def _extra_params(kind: ChaosKind, node_ids: Sequence[str],
-                  rng: random.Random) -> Dict[str, object]:
-    """Seeded parameters for one wide-vocabulary injection."""
-    if kind is ChaosKind.REORDER:
-        return {"node": node_ids[rng.randrange(len(node_ids))]}
-    if kind is ChaosKind.PARTIAL_PARTITION:
-        size = rng.randrange(1, len(node_ids)) if len(node_ids) > 1 else 1
-        group = sorted(rng.sample(list(node_ids), size))
-        return {"group": group, "heal_after": rng.randrange(1, 3)}
-    # directed-link kinds: pick an ordered pair of distinct nodes
-    src = node_ids[rng.randrange(len(node_ids))]
-    others = [n for n in node_ids if n != src] or [src]
-    dst = others[rng.randrange(len(others))]
-    if kind is ChaosKind.DELAY:
-        return {"src": src, "dst": dst, "count": rng.randrange(1, 4)}
-    return {"src": src, "dst": dst, "heal_after": rng.randrange(1, 3)}
 
 
 def _choose_modeled(graph: StateGraph, case: TestCase, mapping: SpecMapping,

@@ -51,6 +51,7 @@ from ..core.testgen.testcase import TestSuite
 from ..obs import TRACER
 from ..runtime.cluster import Cluster
 from ..tlaplus.graph import StateGraph
+from .kinds import weaker_variants
 from .plan import FaultInjection, FaultPlan
 from .planner import apply_plan
 from .runner import FaultConfig, FaultRunner
@@ -304,7 +305,7 @@ def _shrink_params(items: List[FaultInjection], fails, session: _Session):
     while progress:
         progress = False
         for index in range(len(items)):
-            for variant in _weaker_variants(items[index]):
+            for variant in weaker_variants(items[index]):
                 if session.exhausted:
                     return items, False
                 trial = items[:index] + [variant] + items[index + 1:]
@@ -316,25 +317,3 @@ def _shrink_params(items: List[FaultInjection], fails, session: _Session):
                     progress = True
                     break
     return items, True
-
-
-def _weaker_variants(injection: FaultInjection) -> List[FaultInjection]:
-    """Strictly weaker single-step variants of one injection."""
-    variants: List[FaultInjection] = []
-    if injection.tail:
-        # modeled splice: drop the last tail edge (shorter repro path)
-        variants.append(injection.replace(tail=injection.tail[:-1]))
-    params = injection.params
-    count = params.get("count")
-    if isinstance(count, int) and count > 1:
-        variants.append(injection.replace(
-            params={**params, "count": count - 1}))
-    group = params.get("group")
-    if isinstance(group, (list, tuple)) and len(group) > 1:
-        variants.append(injection.replace(
-            params={**params, "group": list(group)[:-1]}))
-    heal_after = params.get("heal_after")
-    if isinstance(heal_after, int) and heal_after > 1:
-        variants.append(injection.replace(
-            params={**params, "heal_after": heal_after - 1}))
-    return variants

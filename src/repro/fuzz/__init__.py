@@ -28,7 +28,7 @@ from .fingerprint import (
     run_coverage,
 )
 from .loop import FuzzResult, fuzz_campaign
-from .mutators import MUTATORS, Mutator, mutate_plan, stronger_variants
+from .mutators import MUTATORS, Mutator
 from .report import fuzz_dict, render_fuzz_json, render_fuzz_text
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "pick_entry",
     "MUTATORS",
     "Mutator",
-    "mutate_plan",
-    "stronger_variants",
     "FuzzResult",
     "fuzz_campaign",
     "fuzz_dict",

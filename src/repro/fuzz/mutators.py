@@ -27,16 +27,15 @@ from ..core.mapping.kinds import TriggerKind
 from ..core.mapping.registry import SpecMapping
 from ..core.testgen.testcase import TestCase, TestSuite
 from ..faults.kinds import (
-    ChaosKind, DISRUPTIVE_KINDS, InjectionMode, PARTITION_FAMILY,
+    RULES, ChaosKind, InjectionMode, admits, draw_params, step_bounds,
+    stronger_variants, weaker_variants,
 )
 from ..faults.legality import plan_violations
 from ..faults.plan import EdgeRef, FaultInjection, FaultPlan
-from ..faults.planner import _extra_params
-from ..faults.shrink import _weaker_variants
 from ..tlaplus.graph import StateGraph
 from .fingerprint import GraphIndex, case_coverage
 
-__all__ = ["MUTATORS", "Mutator", "mutate_plan", "stronger_variants"]
+__all__ = ["MUTATORS", "Mutator"]
 
 #: (name, weight) — coverage-seeking ops carry the heavier dice
 MUTATORS: Tuple[Tuple[str, int], ...] = (
@@ -48,10 +47,6 @@ MUTATORS: Tuple[Tuple[str, int], ...] = (
     ("weaken", 1),
     ("drop", 1),
 )
-
-_BENIGN = (ChaosKind.PARTITION, ChaosKind.REORDER, ChaosKind.LINK_CUT,
-           ChaosKind.DELAY, ChaosKind.PARTIAL_PARTITION)
-_DISRUPTIVE = (ChaosKind.BOUNCE, ChaosKind.CRASH, ChaosKind.CORRUPT)
 
 
 class Mutator:
@@ -143,7 +138,7 @@ class Mutator:
                 rng: random.Random) -> Optional[FaultPlan]:
         choices = [(position, variants) for position, injection
                    in enumerate(plan.injections)
-                   for variants in [_weaker_variants(injection)] if variants]
+                   for variants in [weaker_variants(injection)] if variants]
         if not choices:
             return None
         position, variants = choices[rng.randrange(len(choices))]
@@ -177,9 +172,8 @@ class Mutator:
         case = by_id[injection.case_id]
         if len(case.steps) < 2:
             return None
-        top = (len(case.steps) if injection.disruptive
-               else len(case.steps) - 1)
-        step = rng.randrange(1, top + 1)
+        step = rng.randrange(*step_bounds(ChaosKind(injection.kind),
+                                          len(case.steps)))
         moved = FaultInjection(injection.mode, injection.kind,
                                injection.case_id, step,
                                params=injection.params)
@@ -242,53 +236,32 @@ class Mutator:
     def _splice_chaos(self, plan: FaultPlan, rng: random.Random,
                       bias_anchors: Set[int]) -> Optional[FaultPlan]:
         """Add one chaos injection to a case with k-budget headroom."""
-        usage = {}
-        partition_used = set()
-        disruptive_used = set()
+        held = {}
         for injection in plan.injections:
-            if injection.mode is not InjectionMode.CHAOS:
-                continue
-            usage[injection.case_id] = usage.get(injection.case_id, 0) + 1
-            kind = ChaosKind(injection.kind)
-            if kind in PARTITION_FAMILY:
-                partition_used.add(injection.case_id)
-            if kind in DISRUPTIVE_KINDS:
-                disruptive_used.add(injection.case_id)
-        eligible = [(case, False) for case in self.suite
+            if injection.mode is InjectionMode.CHAOS:
+                held.setdefault(injection.case_id, []).append(
+                    ChaosKind(injection.kind))
+        eligible = [case for case in self.suite
                     if len(case.steps) >= 2
-                    and usage.get(case.case_id, 0) < self.max_faults]
+                    and len(held.get(case.case_id, ())) < self.max_faults]
         if not eligible:
             return None
-        with_bias = [(case, bool(self._case_states.get(case.case_id,
-                                                       set())
-                                 & bias_anchors))
-                     for case, _ in eligible]
-        pool = ([pair for pair in with_bias if pair[1]]
-                or with_bias)
-        case, _ = pool[rng.randrange(len(pool))]
-        kinds = [kind for kind in _BENIGN
-                 if not (kind in PARTITION_FAMILY
-                         and case.case_id in partition_used)
-                 and not (kind is not ChaosKind.REORDER
-                          and len(self.node_ids) < 2)]
-        if self.chaos and case.case_id not in disruptive_used:
-            kinds.extend(_DISRUPTIVE)
+        biased = [case for case in eligible
+                  if self._case_states.get(case.case_id, set())
+                  & bias_anchors]
+        pool = biased or eligible
+        case = pool[rng.randrange(len(pool))]
+        kinds = [kind for kind, rule in RULES.items()
+                 if (self.chaos or not rule.disruptive)
+                 and admits(kind, held.get(case.case_id, ()),
+                            len(self.node_ids))]
         if not kinds:
             return None
         kind = kinds[rng.randrange(len(kinds))]
-        if kind in DISRUPTIVE_KINDS:
-            step = rng.randrange(1, len(case.steps) + 1)
-            params = {"node": self.node_ids[rng.randrange(
-                len(self.node_ids))]}
-        else:
-            step = rng.randrange(1, len(case.steps))
-            if kind is ChaosKind.PARTITION:
-                params = {"isolate": self.node_ids[rng.randrange(
-                    len(self.node_ids))]}
-            else:
-                params = _extra_params(kind, self.node_ids, rng)
+        step = rng.randrange(*step_bounds(kind, len(case.steps)))
         splice = FaultInjection(InjectionMode.CHAOS, kind.value,
-                                case.case_id, step, params=params)
+                                case.case_id, step,
+                                params=draw_params(kind, self.node_ids, rng))
         return plan.subset(list(plan.injections) + [splice])
 
     # -- helpers ---------------------------------------------------------------
@@ -338,41 +311,3 @@ class Mutator:
         injections = list(plan.injections)
         injections[position] = injection
         return plan.subset(injections)
-
-
-def stronger_variants(injection: FaultInjection,
-                      node_ids: Sequence[str]) -> List[FaultInjection]:
-    """The shrink weakening dimensions inverted, bounded so repeated
-    strengthening cannot run away: longer delays, later heals, wider
-    partition groups (always leaving one node outside)."""
-    variants: List[FaultInjection] = []
-    params = injection.params
-    count = params.get("count")
-    if isinstance(count, int) and count < 4:
-        variants.append(injection.replace(
-            params={**params, "count": count + 1}))
-    heal_after = params.get("heal_after")
-    if isinstance(heal_after, int) and heal_after < 3:
-        variants.append(injection.replace(
-            params={**params, "heal_after": heal_after + 1}))
-    group = params.get("group")
-    if isinstance(group, (list, tuple)):
-        outside = sorted(set(node_ids) - set(group))
-        if len(outside) > 1:  # keep one node outside the partition
-            variants.append(injection.replace(
-                params={**params, "group": sorted(list(group)
-                                                  + [outside[0]])}))
-    return variants
-
-
-def mutate_plan(plan: FaultPlan, rng: random.Random, *, graph: StateGraph,
-                index: GraphIndex, suite: TestSuite, mapping: SpecMapping,
-                node_ids: Sequence[str], covered_edges: Set[int],
-                chaos: bool = False, max_faults: int = 1,
-                bias_anchors: Set[int] = frozenset(),
-                attempts: int = 8) -> Tuple[str, Optional[FaultPlan]]:
-    """One-shot convenience wrapper around :class:`Mutator`."""
-    mutator = Mutator(graph, index, suite, mapping, node_ids, chaos=chaos,
-                      max_faults=max_faults)
-    return mutator.mutate(plan, rng, covered_edges, bias_anchors,
-                          attempts=attempts)

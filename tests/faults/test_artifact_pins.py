@@ -16,9 +16,11 @@ One digest per artifact:
   seed ``"3"``);
 * every weaker and stronger variant of the raftkv k=3 chaos plan's
   injections, in the order the shrinker and fuzzer index them;
-* the corpus files of 12-run raftkv campaigns: guided (fuzz seed
-  ``"8"``), guided from an imported empty plan (fuzz seed ``"9"``,
-  which reaches ``splice_chaos``), and unguided;
+* the corpus files of 12-run raftkv campaigns at ``max_faults=3``:
+  guided (fuzz seed ``"8"``), guided from an imported empty plan (fuzz
+  seed ``"9"``, which reaches ``splice_chaos``), and unguided.  Without
+  ``chaos`` no run diverges; a diverging run's hit counts depend on
+  where the race ends, so a chaos corpus is not byte-stable;
 * the JSONL log of a raftkv ``shrink_plan`` run.
 
 Moving a digest on purpose means every saved artifact of that kind
@@ -34,8 +36,8 @@ from repro.core import RunnerConfig, generate_test_cases
 from repro.core.testgen.testcase import TestSuite
 from repro.engine import canonicalize
 from repro.faults import FaultConfig, FaultPlan, plan_faults, shrink_plan
-from repro.faults.shrink import _weaker_variants
-from repro.fuzz import fuzz_campaign, stronger_variants
+from repro.faults.kinds import stronger_variants, weaker_variants
+from repro.fuzz import fuzz_campaign
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
 from repro.systems.catalog import RUNNER, kit
 from repro.systems.raftkv import (
@@ -145,7 +147,7 @@ def test_fault_artifacts_match_their_pinned_digests(tmp_path):
     wide = plan_faults(graph, suite.truncated(10), mapping, "3", node_ids,
                        chaos=True, target="raftkv", max_faults_per_case=3)
     variants = [variant for injection in wide.injections
-                for variant in (_weaker_variants(injection)
+                for variant in (weaker_variants(injection)
                                 + stronger_variants(injection, node_ids))]
     assert variants
     digests["variants/raftkv"] = sha(wide.subset(variants).to_json())

@@ -22,13 +22,13 @@ from repro.faults import (
     plan_faults,
     shrink_plan,
 )
+from repro.faults.kinds import weaker_variants
 from repro.faults.plan import EdgeRef
 from repro.faults.shrink import (
     _Session,
     _ddmin,
     _shrink_params,
     _split,
-    _weaker_variants,
 )
 from repro.specs import build_example_spec
 from repro.systems.toycache import (
@@ -108,18 +108,18 @@ class TestParamShrinking:
             step_index=1, params={"count": 3, "group": ["n1", "n2"],
                                   "heal_after": 2},
             tail=tail)
-        variants = _weaker_variants(injection)
+        variants = weaker_variants(injection)
         assert len(variants) == 4
         assert [len(v.tail) for v in variants[:1]] == [1]
         assert any(v.params.get("count") == 2 for v in variants)
         assert any(v.params.get("group") == ["n1"] for v in variants)
         assert any(v.params.get("heal_after") == 1 for v in variants)
 
-    def test_minimal_values_have_no_weaker_variants(self):
+    def test_minimal_values_have_noweaker_variants(self):
         injection = FaultInjection(
             InjectionMode.CHAOS, ChaosKind.DELAY.value, case_id=0,
             step_index=1, params={"count": 1, "heal_after": 1})
-        assert _weaker_variants(injection) == []
+        assert weaker_variants(injection) == []
 
     def test_sweep_weakens_until_fixpoint(self):
         injection = FaultInjection(

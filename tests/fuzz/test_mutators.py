@@ -9,8 +9,8 @@ from repro.core import generate_test_cases
 from repro.engine import canonicalize
 from repro.faults import FaultInjection, InjectionMode, plan_faults
 from repro.faults.legality import plan_violations
-from repro.faults.shrink import _weaker_variants
-from repro.fuzz import GraphIndex, MUTATORS, Mutator, stronger_variants
+from repro.faults.kinds import stronger_variants, weaker_variants
+from repro.fuzz import GraphIndex, MUTATORS, Mutator
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
 from repro.systems.pyxraft import XraftConfig, build_xraft_mapping
 from repro.tlaplus import check
@@ -145,7 +145,7 @@ class TestStrengthenWeakenRoundTrip:
         stronger = [v for v in stronger_variants(base, NODE_IDS)
                     if v.params.get("count") == 3]
         assert stronger
-        back = [v for v in _weaker_variants(stronger[0])
+        back = [v for v in weaker_variants(stronger[0])
                 if v.params.get("count") == 2]
         assert back and back[0].params == base.params
 
@@ -156,7 +156,7 @@ class TestStrengthenWeakenRoundTrip:
         stronger = [v for v in stronger_variants(base, NODE_IDS)
                     if v.params.get("heal_after") == 2]
         assert stronger
-        back = [v for v in _weaker_variants(stronger[0])
+        back = [v for v in weaker_variants(stronger[0])
                 if v.params.get("heal_after") == 1]
         assert back and back[0].params == base.params
 
