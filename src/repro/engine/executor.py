@@ -51,14 +51,14 @@ import queue as queue_module
 import time
 import traceback
 import warnings
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import METRICS, TRACER
 from ..core.testbed.report import SuiteResult, TestCaseResult
 from ..core.testgen.testcase import TestSuite
 
 __all__ = ["EngineError", "EngineFallbackWarning", "fork_available",
-           "run_suite_parallel"]
+           "parallel_useful", "run_indexed", "run_suite_parallel"]
 
 
 class EngineError(RuntimeError):
@@ -74,20 +74,115 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _case_worker(tester, cases, task_queue, result_queue, worker_index) -> None:
-    """Worker main loop: run dispatched case indices until told to stop."""
+def parallel_useful(workers: int, jobs: int, what: str) -> bool:
+    """True when ``jobs`` jobs should fork ``workers`` processes; warns
+    (:class:`EngineFallbackWarning`) and returns False when ``fork`` is
+    missing, so the caller runs its ``what`` serially."""
+    if workers == 1 or jobs <= 1:
+        return False
+    if not fork_available():
+        warnings.warn(
+            f"the 'fork' start method is unavailable on this platform; "
+            f"running the {what} serially", EngineFallbackWarning,
+            stacklevel=3)
+        return False
+    return True
+
+
+def _job_worker(job, task_queue, result_queue, worker_index) -> None:
+    """Worker main loop: run dispatched job indices until told to stop."""
     try:
         while True:
-            message = task_queue.get()
-            if message is None:
+            index = task_queue.get()
+            if index is None:
                 break
-            case_index = message
             started = time.perf_counter()
-            result = tester.run_case(cases[case_index])
-            result_queue.put(("result", worker_index, case_index, result,
+            result = job(index)
+            result_queue.put(("result", worker_index, index, result,
                               time.perf_counter() - started))
     except BaseException:
         result_queue.put(("error", worker_index, traceback.format_exc()))
+
+
+def run_indexed(job: Callable[[int], Any], count: int, workers: int,
+                stop: Optional[Callable[[Any], bool]] = None,
+                ) -> Tuple[List[Any], float]:
+    """``[job(0), ..., job(count-1)]`` computed by ``workers`` forked
+    processes, in index order, plus the workers' summed busy seconds.
+
+    ``job`` crosses the fork by inheritance (closures are fine); its
+    results travel back pickled.  Indices are dispatched in order, and
+    once ``stop(result)`` holds no further index is dispatched, so the
+    list holds every index dispatched before the first stopping result
+    (``None`` for indices never run).  A worker that raises or dies
+    raises :class:`EngineError` instead of hanging.
+    """
+    context = multiprocessing.get_context("fork")
+    result_queue = context.Queue()
+    task_queues = [context.SimpleQueue() for _ in range(workers)]
+    processes = []
+    for index in range(workers):
+        process = context.Process(
+            target=_job_worker,
+            args=(job, task_queues[index], result_queue, index),
+            daemon=True,
+            name=f"mocket-worker-{index}",
+        )
+        process.start()
+        processes.append(process)
+
+    results: List[Any] = [None] * count
+    busy_total = 0.0
+    try:
+        next_job = 0
+        # prime every worker with one job, in index order
+        for worker_index in range(workers):
+            task_queues[worker_index].put(next_job)
+            next_job += 1
+        outstanding = workers
+        dispatching = True
+        while outstanding:
+            try:
+                message = result_queue.get(timeout=1.0)
+            except queue_module.Empty:
+                dead = [index for index, process in enumerate(processes)
+                        if not process.is_alive()]
+                if dead:
+                    raise EngineError(
+                        f"worker(s) {dead} died mid-job; "
+                        f"{outstanding} job(s) were still outstanding")
+                continue
+            if message[0] == "error":
+                raise EngineError(
+                    f"worker {message[1]} failed:\n{message[2]}")
+            _, worker_index, job_index, result, busy = message
+            results[job_index] = result
+            busy_total += busy
+            outstanding -= 1
+            if stop is not None and stop(result):
+                dispatching = False
+            if dispatching and next_job < count:
+                if not processes[worker_index].is_alive():
+                    raise EngineError(
+                        f"worker {worker_index} died after job "
+                        f"{job_index}")
+                task_queues[worker_index].put(next_job)
+                next_job += 1
+                outstanding += 1
+    finally:
+        for index, process in enumerate(processes):
+            if process.is_alive():
+                try:
+                    task_queues[index].put(None)
+                except (OSError, ValueError):
+                    pass
+        for process in processes:
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=2.0)
+        result_queue.close()
+    return results, busy_total
 
 
 def run_suite_parallel(
@@ -109,22 +204,27 @@ def run_suite_parallel(
     cases = list(suite)
     if max_cases is not None:
         cases = cases[:max_cases]
-    if workers == 1 or len(cases) <= 1:
-        return tester.run_suite(suite, stop_on_divergence=stop_on_divergence,
-                                max_cases=max_cases)
-    if not fork_available():
-        warnings.warn(
-            "the 'fork' start method is unavailable on this platform; "
-            "running the suite serially", EngineFallbackWarning, stacklevel=2)
+    if not parallel_useful(workers, len(cases), "suite"):
         return tester.run_suite(suite, stop_on_divergence=stop_on_divergence,
                                 max_cases=max_cases)
     workers = min(workers, len(cases))
     with TRACER.span("engine.suite", cases=len(cases),
                      workers=workers) as suite_span:
         started = time.monotonic()
-        outcome = _run_parallel(tester, cases, workers, stop_on_divergence,
-                                started)
+        results, busy_total = run_indexed(
+            lambda index: tester.run_case(cases[index]), len(cases), workers,
+            stop=(lambda result: not result.passed)
+            if stop_on_divergence else None)
+        merged = [result for result in results if result is not None]
+        if stop_on_divergence:
+            # truncate at the first failure in case order — exactly the
+            # list the serial stop-early loop would have produced
+            failing = next((position for position, result
+                            in enumerate(merged) if not result.passed), None)
+            if failing is not None:
+                merged = merged[:failing + 1]
         elapsed = time.monotonic() - started
+        outcome = SuiteResult(merged, elapsed)
         suite_span.add(ran=len(outcome.results),
                        divergent=len(outcome.failures))
         if TRACER.enabled:
@@ -133,89 +233,7 @@ def run_suite_parallel(
                 "engine.cases_per_sec",
                 len(outcome.results) / elapsed if elapsed > 0
                 else float(len(outcome.results)))
+            if elapsed > 0:
+                METRICS.set_gauge("engine.executor_utilization",
+                                  busy_total / (elapsed * workers))
         return outcome
-
-
-def _run_parallel(tester, cases, workers: int, stop_on_divergence: bool,
-                  started: float) -> SuiteResult:
-    context = multiprocessing.get_context("fork")
-    result_queue = context.Queue()
-    task_queues = [context.SimpleQueue() for _ in range(workers)]
-    processes = []
-    for index in range(workers):
-        process = context.Process(
-            target=_case_worker,
-            args=(tester, cases, task_queues[index], result_queue, index),
-            daemon=True,
-            name=f"mocket-case-worker-{index}",
-        )
-        process.start()
-        processes.append(process)
-
-    results: List[Optional[TestCaseResult]] = [None] * len(cases)
-    busy_total = 0.0
-    try:
-        next_case = 0
-        # prime every worker with one case, in case order
-        for worker_index in range(workers):
-            task_queues[worker_index].put(next_case)
-            next_case += 1
-        outstanding = workers
-        dispatching = True
-        while outstanding:
-            try:
-                message = result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [index for index, process in enumerate(processes)
-                        if not process.is_alive()]
-                if dead:
-                    raise EngineError(
-                        f"suite worker(s) {dead} died mid-case; "
-                        f"{outstanding} case(s) were still outstanding")
-                continue
-            if message[0] == "error":
-                raise EngineError(
-                    f"suite worker {message[1]} failed:\n{message[2]}")
-            _, worker_index, case_index, result, busy = message
-            results[case_index] = result
-            busy_total += busy
-            outstanding -= 1
-            if stop_on_divergence and not result.passed:
-                dispatching = False
-            if dispatching and next_case < len(cases):
-                if not processes[worker_index].is_alive():
-                    raise EngineError(
-                        f"suite worker {worker_index} died after case "
-                        f"{case_index}")
-                task_queues[worker_index].put(next_case)
-                next_case += 1
-                outstanding += 1
-    finally:
-        for index, process in enumerate(processes):
-            if process.is_alive():
-                try:
-                    task_queues[index].put(None)
-                except (OSError, ValueError):
-                    pass
-        for process in processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        result_queue.close()
-
-    merged = [result for result in results if result is not None]
-    if stop_on_divergence:
-        # truncate at the first failure in case order — exactly the list
-        # the serial stop-early loop would have produced
-        truncated = []
-        for result in merged:
-            truncated.append(result)
-            if not result.passed:
-                break
-        merged = truncated
-    elapsed = time.monotonic() - started
-    if TRACER.enabled and elapsed > 0:
-        METRICS.set_gauge("engine.executor_utilization",
-                          busy_total / (elapsed * workers))
-    return SuiteResult(merged, elapsed)

@@ -10,8 +10,9 @@ progress on the virtual timeline.
 
 A run of ``--ops N`` splits N over ``--shards`` fixed shards with
 derived seeds (``{seed}:shard{i}``); ``--workers`` picks how many OS
-processes execute them (fork pool when the platform has it, serial
-otherwise) and **cannot** change a byte of the merged report — the
+processes execute them (forked workers of
+:func:`repro.engine.executor.run_indexed` when the platform has fork,
+serial otherwise) and **cannot** change a byte of the merged report — the
 determinism guard pins that, together with ``PYTHONHASHSEED``
 independence, in ``tests/soak/test_determinism_guard.py``.
 
@@ -23,11 +24,9 @@ separating a quiet tail from a wedged cluster).
 
 from __future__ import annotations
 
-import multiprocessing
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..engine.executor import EngineFallbackWarning, fork_available
+from ..engine.executor import parallel_useful, run_indexed
 from ..obs import METRICS, TRACER
 from ..runtime.sim import SimScheduler
 from ..systems.raftkv.sim import (
@@ -287,47 +286,20 @@ def _pending_work(cluster) -> int:
     return pending
 
 
-def _run_shard_pooled(args) -> Dict[str, Any]:
-    config_kwargs, index = args
-    return run_shard(SoakConfig(**config_kwargs), index, emit_trace=False)
-
-
-def _config_kwargs(config: SoakConfig) -> Dict[str, Any]:
-    return {
-        "target": config.target, "ops": config.ops, "seed": config.seed,
-        "shards": config.shards, "workers": config.workers,
-        "rate": config.rate, "key_space": config.key_space,
-        "faults": config.faults, "bug": config.bug,
-        "snapshot_every": config.snapshot_every,
-        "checkpoint_every": config.checkpoint_every,
-        "schedule": config.schedule,
-    }
-
-
 def run_soak(config: SoakConfig) -> List[Dict[str, Any]]:
     """Run every shard (possibly in parallel) and return their reports
     in shard order — identical bytes for any worker count."""
     with TRACER.span("soak.run", target=config.target, ops=config.ops,
                      seed=config.seed, shards=config.shards,
                      workers=config.workers, faults=config.faults):
-        indices = list(range(config.shards))
         workers = min(config.workers, config.shards)
-        results: List[Dict[str, Any]] = []
-        if workers > 1 and not fork_available():
-            warnings.warn(
-                "the 'fork' start method is unavailable on this platform; "
-                "running the shards serially", EngineFallbackWarning,
-                stacklevel=2)
-            workers = 1
-        if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            kwargs = _config_kwargs(config)
-            with ctx.Pool(workers) as pool:
-                results = pool.map(_run_shard_pooled,
-                                   [(kwargs, i) for i in indices])
+        if parallel_useful(workers, config.shards, "shards"):
+            results, _busy = run_indexed(
+                lambda index: run_shard(config, index, emit_trace=False),
+                config.shards, workers)
         else:
-            results = [run_shard(config, i, emit_trace=True)
-                       for i in indices]
+            results = [run_shard(config, index, emit_trace=True)
+                       for index in range(config.shards)]
         if TRACER.enabled:
             for shard in results:
                 for event in shard["divergence_events"]:

@@ -5,8 +5,14 @@ Everything here runs in-process on the simulated path, so even the
 "soak" cases take well under a second of wall time.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from repro.engine import fork_available
 from repro.soak import (
     SoakConfig,
     SoakMonitor,
@@ -118,13 +124,37 @@ class TestWorkers:
                 == json.dumps(pooled, sort_keys=True))
 
     def test_missing_fork_warns_like_the_suite_executor(self, monkeypatch):
-        from repro.engine import EngineFallbackWarning
-        from repro.soak import runner
+        from repro.engine import EngineFallbackWarning, executor
 
-        monkeypatch.setattr(runner, "fork_available", lambda: False)
+        monkeypatch.setattr(executor, "fork_available", lambda: False)
         with pytest.warns(EngineFallbackWarning, match="fork"):
             fallen_back = run_soak(small_config(workers=2))
         assert fallen_back == run_soak(small_config(workers=1))
+
+    @pytest.mark.skipif(not fork_available(), reason="workers need fork")
+    def test_a_dying_shard_worker_raises_instead_of_hanging(self):
+        # in a subprocess under a timeout: a worker pool that waits
+        # forever on a dead worker must fail this test, not hang it
+        script = textwrap.dedent("""
+            import os
+            from repro.engine import EngineError
+            from repro.soak import SoakConfig, runner
+
+            def dying(config, index, emit_trace=True):
+                os._exit(1)
+
+            runner.run_shard = dying
+            try:
+                runner.run_soak(SoakConfig(ops=200, seed="t", shards=2,
+                                           workers=2, rate=400.0))
+            except EngineError as exc:
+                print("EngineError:", exc)
+        """)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert "EngineError: worker(s)" in proc.stdout, proc.stderr
 
 
 class TestMonitor:
