@@ -299,9 +299,6 @@ class SpecMapping:
                 self.events[name] = EventBinding(name, name)
         return self
 
-    def event_binding(self, event_name: str) -> Optional[EventBinding]:
-        return self.events.get(event_name)
-
     def bound_actions(self) -> set:
         """Spec actions witnessed by at least one event binding."""
         return {binding.action for binding in self.events.values()}

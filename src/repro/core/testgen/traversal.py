@@ -154,11 +154,6 @@ def _traverse_from(
         )
 
 
-def paths_to_lengths(paths: Sequence[List[Edge]]) -> List[int]:
-    """Convenience for stats/benches: path lengths in traversal order."""
-    return [len(path) for path in paths]
-
-
 def node_coverage_paths(
     graph: StateGraph,
     end_state_ids: Optional[Iterable[int]] = None,

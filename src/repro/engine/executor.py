@@ -1,30 +1,26 @@
-"""Parallel test-suite execution with per-case process isolation.
+"""Parallel execution of independent, indexed jobs in forked workers.
 
-Every case of controlled testing (``mocket test``) deploys a fresh
-cluster and is independent of every other, so cases can run in worker
-processes: a clean case is CPU-bound and scales with cores, and a case
-that waits out a timeout (a seeded bug, a healed fault) overlaps its
-wait with the others' work.
+Two kinds of job run here: test cases (``mocket test`` and the fault
+verbs — every case deploys a fresh cluster) and soak shards (each a
+complete seeded simulation).  :func:`run_indexed` is the one worker
+pool both use:
 
-Design:
-
-* workers are **forked**, so the tester — whose ``cluster_factory`` is
-  usually an unpicklable closure — crosses the process boundary by
-  inheritance, never by pickling,
-* each worker owns a ``SimpleQueue`` of case *indices* (the suite
-  itself is inherited); the master dispatches indices in case order and
-  collects :class:`~repro.core.testbed.report.TestCaseResult` objects
-  from a shared result queue,
-* results are merged **in case order** regardless of completion order,
-  so the :class:`SuiteResult` is deterministic for any worker count,
-* ``stop_on_divergence`` stops *dispatching* once a failure is
-  observed; because dispatch is monotone in case order, every case
-  before the first failure has already been dispatched, and truncating
-  the merged results at the first failing case reproduces exactly the
-  serial stop-early result list,
-* a dead worker (crashed cluster process, OOM kill) is detected while
-  draining the result queue and surfaces as
-  :class:`EngineError` instead of a hang.
+* workers are **forked**, so a job — usually a closure over an
+  unpicklable ``cluster_factory`` — crosses the process boundary by
+  inheritance, never by pickling; only results travel back pickled,
+* each worker owns a ``SimpleQueue`` of job *indices*; the master
+  dispatches indices in order and collects results from a shared
+  result queue, merged **in index order** whatever the completion
+  order, so the output is deterministic for any worker count,
+* a ``stop`` predicate stops *dispatching* once a result matches;
+  dispatch is monotone in index order, so every index before the first
+  stopping result has already run (``stop_on_divergence`` truncates the
+  merged cases there and reproduces the serial stop-early list),
+* a worker that raises or dies (a crashed cluster process, an OOM
+  kill) surfaces as :class:`EngineError` instead of a hang,
+* :func:`parallel_useful` is the one fork fallback: without ``fork``
+  it warns (:class:`EngineFallbackWarning`) and the caller runs
+  serially.
 
 Tester contract: ``run_case`` must be self-contained — any per-case
 mutable state has to be (re)initialized at case start, because each
@@ -33,13 +29,11 @@ of the tester.  The fault runner leans on this: the
 :class:`~repro.faults.FaultPlan` crosses the fork by inheritance
 (planned in the master, read-only here) while nemesis state is reset
 inside ``_run_case``, so an injected schedule produces the same
-divergence report for any worker count.  Results — including
-``TestCaseResult.injected_faults`` — are plain attribute objects and
-pickle back through the result queue unchanged.
+divergence report for any worker count.
 
-Isolation caveat: per-case spans/metrics recorded *inside* a worker
-stay in that worker's process (the observability registries are not
-shared memory).  The master still records suite-level metrics
+Isolation caveat: spans/metrics recorded *inside* a worker stay in
+that worker's process (the observability registries are not shared
+memory).  The master still records suite-level metrics
 (``engine.cases_per_sec``, ``engine.executor_utilization``) and the
 returned results carry full per-case timing.
 """
@@ -54,7 +48,7 @@ import warnings
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import METRICS, TRACER
-from ..core.testbed.report import SuiteResult, TestCaseResult
+from ..core.testbed.report import SuiteResult
 from ..core.testgen.testcase import TestSuite
 
 __all__ = ["EngineError", "EngineFallbackWarning", "fork_available",

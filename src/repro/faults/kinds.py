@@ -19,30 +19,20 @@ Two injection modes, with very different soundness stories:
   state, or the case is reported.
 
 :data:`RULES` states once what each chaos kind is and where it may go;
-the planner, the legality checker, the shrinker and the fuzz mutators
-all read it (docs/FAULTS.md § "Chaos kinds").  Every function below
-draws from the caller's seeded stream in a fixed order, so plans,
-corpora and shrink logs are byte-reproducible.
+the planner, legality checker, shrinker and fuzz mutators all read it
+(docs/FAULTS.md § "Chaos kinds").  Draws come from the caller's seeded
+stream in a fixed order, so plans and corpora are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-__all__ = [
-    "InjectionMode",
-    "ChaosKind",
-    "KindRule",
-    "RULES",
-    "PARAM_BOUNDS",
-    "step_bounds",
-    "admits",
-    "draw_params",
-    "weaker_variants",
-    "stronger_variants",
-]
+__all__ = ["InjectionMode", "ChaosKind", "KindRule", "RULES", "PARAM_BOUNDS",
+           "step_bounds", "admits", "draw_params", "weaker_variants",
+           "stronger_variants"]
 
 
 class InjectionMode(enum.Enum):
@@ -68,7 +58,8 @@ class KindRule(NamedTuple):
 
     kind: ChaosKind
     # perturbs state outside the verified space: the case switches to
-    # convergence mode, and the window may start after the last step
+    # convergence mode (which needs one perturbation to converge from),
+    # and the window may start after the last step
     disruptive: bool
     # sets the partition groups: a second one would overwrite the first
     partition: bool
@@ -81,10 +72,8 @@ class KindRule(NamedTuple):
 
     @property
     def families(self) -> Tuple[str, ...]:
-        """The capped families this kind belongs to: a case holds at
-        most one injection of each — one disruptive window, because
-        convergence needs a single perturbation to converge from, and
-        one partition-family injection."""
+        """The capped families of this kind: a case holds at most one
+        injection of each."""
         return tuple(name for name, member in (
             ("disruptive", self.disruptive),
             ("partition-family", self.partition)) if member)
@@ -151,50 +140,44 @@ def draw_params(kind: ChaosKind, node_ids: Sequence[str],
     return params
 
 
-def _moved(params, key: str, direction: int,
-           node_ids: Sequence[str]) -> Optional[object]:
-    """``params[key]`` one step weaker (-1) or stronger (+1), or None
-    at its bound or when absent."""
-    value = params.get(key)
-    if key == "group":
-        if not isinstance(value, (list, tuple)):
-            return None
-        if direction < 0:
-            return list(value)[:-1] if len(value) > 1 else None
-        outside = sorted(set(node_ids) - set(value))
-        return sorted(list(value) + [outside[0]]) if len(outside) > 1 else None
-    if not isinstance(value, int):
-        return None
-    low, high = PARAM_BOUNDS[key]
-    if direction < 0:
-        return value - 1 if value > low else None
-    return value + 1 if value < high else None
-
-
-def _variants(injection, keys: Sequence[str], direction: int,
-              node_ids: Sequence[str]) -> List:
+def _variants(injection, keys: Sequence[str], step: int,
+              node_ids: Sequence[str] = ()) -> List:
+    """One variant per key of ``keys`` whose value moves one ``step``
+    (-1 weaker, +1 stronger) without passing its bound, in ``keys``
+    order: the shrinker and fuzzer pick variants by index."""
     variants = []
     for key in keys:
-        value = _moved(injection.params, key, direction, node_ids)
-        if value is not None:
+        value, moved = injection.params.get(key), None
+        if key == "group" and isinstance(value, (list, tuple)):
+            if step < 0 and len(value) > 1:
+                moved = list(value)[:-1]
+            elif step > 0:
+                outside = sorted(set(node_ids) - set(value))
+                if len(outside) > 1:  # keep one node outside
+                    moved = sorted(list(value) + [outside[0]])
+        elif key in PARAM_BOUNDS and isinstance(value, int):
+            low, high = PARAM_BOUNDS[key]
+            if (value > low) if step < 0 else (value < high):
+                moved = value + step
+        if moved is not None:
             variants.append(injection.replace(
-                params={**injection.params, key: value}))
+                params={**injection.params, key: moved}))
     return variants
 
 
 def weaker_variants(injection) -> List:
     """Strictly weaker single-step variants of one injection: a shorter
     modeled tail, a smaller delay count, a smaller partition group, an
-    earlier heal — in the order the shrinker and fuzzer index them."""
-    shorter = [injection.replace(tail=injection.tail[:-1])] \
-        if injection.tail else []
+    earlier heal."""
+    shorter = ([injection.replace(tail=injection.tail[:-1])]
+               if injection.tail else [])
     return shorter + _variants(injection, ("count", "group", "heal_after"),
-                               -1, ())
+                               -1)
 
 
 def stronger_variants(injection, node_ids: Sequence[str]) -> List:
-    """The weakening dimensions inverted and bounded so repeated
+    """The weakening dimensions inverted, bounded so repeated
     strengthening cannot run away: longer delays, later heals, wider
-    partition groups (always leaving one node outside)."""
+    partition groups."""
     return _variants(injection, ("count", "heal_after", "group"), +1,
                      node_ids)

@@ -179,14 +179,9 @@ def _modeled_violations(injection: FaultInjection, where: str, by_id,
 
 def _fault_edge_names(injection: FaultInjection,
                       graph: StateGraph) -> int:
-    """Count fault edges in the splice chain: the spliced edge plus any
-    tail edge whose action also appears as a spliced/fault transition.
-
-    Without a mapping we cannot name the fault actions; the spliced
-    edge's action is definitionally one, so count tail edges sharing
-    an action name with it (restart chains) — a conservative lower
-    bound that matches how the planner builds chains.
-    """
+    """Fault edges in the splice chain: the spliced edge plus the tail
+    edges sharing its action name (restart chains).  Without a mapping
+    the other fault actions have no name, so this is a lower bound."""
     fault_like = {injection.edge.label.name}
     return 1 + sum(1 for ref in injection.tail
                    if ref.label.name in fault_like)

@@ -21,15 +21,12 @@ Two families of injection points:
   other case additionally gets a *disruptive* one (bounce / crash,
   alternating), which switches that case to convergence-mode checking.
 
-With ``max_faults_per_case=k`` (k > 1) the planner composes schedules:
-modeled splices may chain several fault edges inside one derived case,
-and each chaos-eligible case fills its ``k``-injection budget — the
-base transparent injection, one disruptive window (under ``chaos``,
-alternating bounce/crash on even cases and corruption on odd ones),
-and extra transparent injections from the wider vocabulary (one-way
-link cuts, per-link delays, partial partitions, reorders), each one the
-rule table admits (:mod:`repro.faults.kinds`: one disruptive and one
-partition-family injection per case, cuts need a second node).
+With ``max_faults_per_case=k`` (k > 1) modeled splices may chain
+several fault edges inside one derived case, and each chaos-eligible
+case fills its ``k``-injection budget: under ``chaos`` one slot is a
+disruptive window (corruption on odd cases), the rest are kinds from
+the wider vocabulary that the rule table (:mod:`repro.faults.kinds`)
+admits next to what the case already holds.
 
 ``k == 1`` consumes the seeded dice exactly as earlier releases did, so
 existing plans stay byte-identical.
@@ -173,10 +170,9 @@ def _extra_chaos(case: TestCase, index: int, held: List[ChaosKind],
     for slot in range(slots):
         cycle = [_EXTRA_CYCLE[(index + slot + offset) % len(_EXTRA_CYCLE)]
                  for offset in range(len(_EXTRA_CYCLE))]
-        kind = next((kind for kind in cycle
-                     if admits(kind, held, len(node_ids))), None)
-        if kind is None:  # pragma: no cover - reorder is always admitted
-            break
+        # reorder is always admitted, so the walk always finds a kind
+        kind = next(kind for kind in cycle
+                    if admits(kind, held, len(node_ids)))
         step = rng.randrange(*step_bounds(kind, len(case.steps)))
         held.append(kind)
         extras.append(FaultInjection(

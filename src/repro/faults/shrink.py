@@ -89,15 +89,13 @@ class ShrinkResult:
         """Write the shrink log as JSONL (TraceEvent-shaped records)."""
         import json
 
-        def dump(handle):
-            for record in self.log:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
+        text = "".join(json.dumps(record, sort_keys=True) + "\n"
+                       for record in self.log)
         if hasattr(path_or_file, "write"):
-            dump(path_or_file)
+            path_or_file.write(text)
         else:
             with open(path_or_file, "w", encoding="utf-8") as handle:
-                dump(handle)
+                handle.write(text)
 
 
 class _Session:

@@ -29,6 +29,37 @@ __all__ = ["StepRecord", "FaultRecord", "CaseTimeline", "TraceReader"]
 #: JSON envelope version for ``mocket trace summarize --format json``.
 SUMMARY_VERSION = 1
 
+_NUMBER = (int, float)
+#: the types of the fields the summaries fold, per record name; a
+#: record whose field has another type is a damaged trace line
+_FIELD_TYPES: Dict[str, Dict[str, Any]] = {
+    "runner.step": {"case": int, "step": int, "action": str,
+                    "outcome": str, "src_fp": str, "dst_fp": str,
+                    "edge_fp": str},
+    "runner.case": {"case": int, "outcome": str},
+    "fault.inject": {"case": int, "step": int, "kind": str,
+                     "params": dict},
+    "fault.heal": {"case": int},
+    "runner.quiesce": {"waited_s": _NUMBER},
+    "checker.run": {"states": int, "edges": int, "memo_hits": int,
+                    "memo_misses": int, "memo_entries": int},
+    "runner.suite": {"graph_states": int, "graph_edges": int},
+}
+
+
+def _checked(event: TraceEvent) -> TraceEvent:
+    """``event``, or TypeError when a field the summaries fold (or its
+    timing) has the wrong type."""
+    if not isinstance(event.seq, int) or not isinstance(event.ts, _NUMBER) \
+            or not isinstance(event.dur, _NUMBER + (type(None),)):
+        raise TypeError("seq, ts or dur is not a number")
+    for key, kind in _FIELD_TYPES.get(event.name, {}).items():
+        value = event.fields.get(key)
+        if value is not None and not isinstance(value, kind):
+            raise TypeError(f"{event.name} field {key!r} has type "
+                            f"{type(value).__name__}")
+    return event
+
 
 class StepRecord:
     """One executed action inside a case timeline."""
@@ -170,14 +201,16 @@ class TraceReader:
         """Stream records in seq order without materializing the trace.
 
         The sink appends records under a lock with an incrementing
-        ``seq``, so file order is already seq order.  A malformed line
-        raises :class:`~repro.artifact.ArtifactError` tagged with path
-        and line number.
+        ``seq``, so file order is already seq order.  A malformed line,
+        or a field the summaries fold with the wrong type, raises
+        :class:`~repro.artifact.ArtifactError` tagged with path and line
+        number.
         """
         if self._events is not None:
             return iter(self._events)
         return artifact.records(
-            self._path, lambda _, record: TraceEvent.from_dict(record),
+            self._path,
+            lambda _, record: _checked(TraceEvent.from_dict(record)),
             "trace")
 
     @property
@@ -299,26 +332,6 @@ class TraceReader:
                 f"{fields.get('edges', '?')} of "
                 f"{fields.get('graph_edges', '?')} edges, "
                 f"{fields.get('bugs', '?')} bug(s)")
-
-    def shrink_summary(self) -> Optional[str]:
-        """One-line digest of a shrink run recorded in this trace.
-
-        ``mocket faults shrink --log`` writes ``shrink.*`` records; the
-        final ``shrink.done`` carries the whole outcome.  Returns
-        ``None`` when the trace holds no completed shrink run.
-        """
-        done = self.by_name("shrink.done")
-        return self._shrink_line(done[-1].fields) if done else None
-
-    def conform_summary(self) -> Optional[str]:
-        """One-line digest of a conformance run recorded in this trace.
-
-        ``mocket conform --trace`` writes ``conform.*`` records; the
-        final ``conform.done`` carries the verdict.  Returns ``None``
-        when the trace holds no completed conformance run.
-        """
-        done = self.by_name("conform.done")
-        return self._conform_line(done[-1].fields) if done else None
 
     # -- summaries ------------------------------------------------------------
     def _scan(self, max_cases: Optional[int] = None) -> Dict[str, Any]:

@@ -9,7 +9,7 @@ with wall-clock sleeps.
 """
 
 from .cluster import Cluster
-from .network import Envelope, Network, RpcError
+from .network import Envelope, Network
 from .node import Node, NodeCrashed
 from .storage import PersistentStore, StorageBackend
 
@@ -20,6 +20,5 @@ __all__ = [
     "Node",
     "NodeCrashed",
     "PersistentStore",
-    "RpcError",
     "StorageBackend",
 ]

@@ -1,12 +1,10 @@
 """In-memory network transport for the pseudo-distributed cluster.
 
-Two communication styles, matching the paper's two Raft targets:
-
-* **asynchronous** — ``send`` enqueues the message into the receiver's
-  inbox; the receiver's loop thread dequeues and handles it (Xraft,
-  ZooKeeper style),
-* **synchronous RPC** — ``rpc`` invokes the receiver's handler in the
-  caller's thread and returns its reply (Raft-java style).
+One delivery style: ``send`` enqueues the message into the receiver's
+inbox, and the receiver's loop thread dequeues and handles it.  The
+paper's Raft-java style synchronous RPC is built on top of it: raftkv
+sends a request and correlates the reply that comes back over ``send``
+(``RaftKvNode._call_async``).
 
 Inboxes are *mailboxes*: they belong to the node identity, not the node
 process, so messages that were in flight when a node crashed are still
@@ -22,8 +20,7 @@ Messages to node ids that were never part of the cluster go to
 
 The network is also the injection point for the nemesis layer
 (:mod:`repro.faults`): a **symmetric partition** splits the node ids
-into groups and *holds* every asynchronous message crossing the cut
-(synchronous RPC fails immediately, like a broken TCP connection);
+into groups and *holds* every message crossing the cut;
 :meth:`heal` releases held messages into their mailboxes in send order,
 so a partition delays delivery without losing messages — exactly the
 specification's view, where an in-flight message simply stays in the
@@ -74,11 +71,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Envelope", "Network", "RpcError"]
-
-
-class RpcError(Exception):
-    """A synchronous RPC failed (peer down or handler raised)."""
+__all__ = ["Envelope", "Network"]
 
 
 class Envelope:
@@ -112,7 +105,6 @@ class Network:
     def __init__(self):
         self._inboxes: Dict[str, _Mailbox] = {}
         self._up: Dict[str, bool] = {}
-        self._rpc_handlers: Dict[str, Callable[[str, Any], Any]] = {}
         self._lock = threading.Lock()
         # quiescence monitor: runnable counted threads, the events parked
         # threads block on (event -> (owner's stop event, counted)), and
@@ -130,28 +122,23 @@ class Network:
         # number of messages still to hold for a delay
         self._cuts: Dict[tuple, bool] = {}
         self._delays: Dict[tuple, int] = {}
-        self.held_count = 0       # lifetime total of envelopes ever held
         self.reorder_count = 0    # lifetime total of reorder operations
         self.corrupt_count = 0    # lifetime total of corrupted (dropped) messages
         self.corrupted: List[Envelope] = []
 
     # -- registration --------------------------------------------------------
-    def register(self, node_id: str,
-                 rpc_handler: Optional[Callable[[str, Any], Any]] = None) -> None:
+    def register(self, node_id: str) -> None:
         """Attach ``node_id``; its mailbox (and backlog) is reused if it
         existed before — a restarted node sees retained messages."""
         with self._lock:
             if node_id not in self._inboxes:
                 self._inboxes[node_id] = _Mailbox(self._lock)
             self._up[node_id] = True
-            if rpc_handler is not None:
-                self._rpc_handlers[node_id] = rpc_handler
 
     def unregister(self, node_id: str) -> None:
         """Mark ``node_id`` down (crash).  The mailbox is retained."""
         with self._lock:
             self._up[node_id] = False
-            self._rpc_handlers.pop(node_id, None)
             self._settled()  # its mail no longer counts as pending work
 
     def is_registered(self, node_id: str) -> bool:
@@ -281,7 +268,6 @@ class Network:
             return "dead", None, False
         if self._holds(envelope.src, envelope.dst):
             self._held.append(envelope)
-            self.held_count += 1
             return "held", inbox, True  # held, not lost: delivered on heal()
         return "deliver", inbox, self._up.get(envelope.dst, False)
 
@@ -505,33 +491,6 @@ class Network:
             self.corrupted.append(victim)
             self._settled()
         return victim
-
-    # -- synchronous RPC ------------------------------------------------------------
-    def rpc(self, src: str, dst: str, payload: Any) -> Any:
-        """Invoke ``dst``'s RPC handler in the caller's thread.
-
-        Raises :class:`RpcError` when the peer is down or the handler
-        fails — the caller sees the same failure a broken TCP connection
-        would produce.
-        """
-        with self._lock:
-            handler = self._rpc_handlers.get(dst)
-            self.sent_count += 1
-            # A synchronous call has no mailbox to hold it in, so cuts
-            # fail it outright; delays do not apply (there is no
-            # "later" for a blocking call).
-            cut = self._crosses_cut(src, dst) or (src, dst) in self._cuts
-        if cut:
-            raise RpcError(f"rpc {src} -> {dst}: network partition")
-        if handler is None:
-            self.dead_letters.append(Envelope(src, dst, payload))
-            raise RpcError(f"rpc {src} -> {dst}: peer is down")
-        try:
-            return handler(src, payload)
-        except RpcError:
-            raise
-        except Exception as exc:
-            raise RpcError(f"rpc {src} -> {dst} failed: {exc!r}") from exc
 
     def __repr__(self) -> str:
         with self._lock:

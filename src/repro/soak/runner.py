@@ -24,7 +24,7 @@ separating a quiet tail from a wedged cluster).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..engine.executor import parallel_useful, run_indexed
 from ..obs import METRICS, TRACER

@@ -87,5 +87,4 @@ def build_minizk_mapping(spec: Specification,
     mapping.map_restart("Restart", node_param="i")
 
     mapping.bind_default_events()
-    mapping.validate()
     return mapping

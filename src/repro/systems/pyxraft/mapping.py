@@ -106,5 +106,4 @@ def build_xraft_mapping(spec: Specification,
         mapping.map_duplicate("DuplicateMessage", _reinject_duplicate)
 
     mapping.bind_default_events()
-    mapping.validate()
     return mapping

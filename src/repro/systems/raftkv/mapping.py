@@ -78,5 +78,4 @@ def build_raftkv_mapping(spec: Specification,
         mapping.map_action("UpdateTerm")
 
     mapping.bind_default_events()
-    mapping.validate()
     return mapping

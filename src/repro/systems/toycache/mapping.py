@@ -26,5 +26,4 @@ def build_toycache_mapping(data=(1, 2)) -> SpecMapping:
     mapping.map_user_request("Request", run_request)
     mapping.map_action("Respond")
     mapping.bind_default_events()
-    mapping.validate()
     return mapping

@@ -10,10 +10,8 @@ graph (with DOT round-trip) that the Mocket core consumes.
 from .checker import (
     CheckResult,
     ModelChecker,
-    SimulationResult,
     TruncatedExplorationWarning,
     check,
-    simulate,
 )
 from .dot import parse_dot, read_dot, to_dot, write_dot
 from .errors import (
@@ -64,7 +62,6 @@ __all__ = [
     "FrozenDict",
     "InvariantViolation",
     "ModelChecker",
-    "SimulationResult",
     "SpecError",
     "Specification",
     "State",
@@ -90,7 +87,6 @@ __all__ = [
     "is_bag",
     "parse_dot",
     "read_dot",
-    "simulate",
     "thaw",
     "to_dot",
     "write_dot",

@@ -332,68 +332,3 @@ def check(
         checkpoint=checkpoint,
         resume=resume,
     ).run()
-
-
-class SimulationResult:
-    """Outcome of a simulation run (TLC's ``-simulate`` analogue)."""
-
-    def __init__(self, traces, violation: Optional[InvariantViolation],
-                 states_sampled: int):
-        self.traces = traces              # list of [(label|None, state), ...]
-        self.violation = violation
-        self.states_sampled = states_sampled
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def __repr__(self) -> str:
-        status = "OK" if self.ok else f"VIOLATION({self.violation.invariant_name})"
-        return (f"SimulationResult({len(self.traces)} traces, "
-                f"{self.states_sampled} states, {status})")
-
-
-def simulate(
-    spec: Specification,
-    traces: int = 10,
-    depth: int = 50,
-    seed: int = 0,
-) -> SimulationResult:
-    """Random-walk simulation: TLC's ``-simulate`` mode.
-
-    Samples ``traces`` behaviours of at most ``depth`` steps each,
-    checking invariants along the way.  Linear cost where exhaustive
-    checking is exponential — the standard tool for models whose full
-    space is out of reach.  Deterministic given ``seed``.
-    """
-    import random
-
-    rng = random.Random(seed)
-    initial_states = spec.initial_states()
-    collected = []
-    states_sampled = 0
-    for _ in range(traces):
-        state = rng.choice(initial_states)
-        trace = [(None, state)]
-        states_sampled += 1
-        inv = spec.check_invariants(state)
-        if inv is not None:
-            violation = InvariantViolation(inv, state, trace)
-            collected.append(trace)
-            return SimulationResult(collected, violation, states_sampled)
-        for _ in range(depth):
-            transitions = list(spec.enabled(state))
-            if not transitions:
-                break
-            label, state = rng.choice(transitions)
-            trace.append((label, state))
-            states_sampled += 1
-            inv = spec.check_invariants(state)
-            if inv is not None:
-                collected.append(trace)
-                return SimulationResult(
-                    collected, InvariantViolation(inv, state, trace),
-                    states_sampled,
-                )
-        collected.append(trace)
-    return SimulationResult(collected, None, states_sampled)

@@ -150,18 +150,6 @@ class StateGraph:
         """States with no outgoing edge (deadlocks / completed behaviours)."""
         return [node_id for node_id in range(self.num_states) if not self._out[node_id]]
 
-    # -- conversions ----------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a ``networkx.MultiDiGraph`` for ad-hoc analysis."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(spec=self.spec_name)
-        for node_id, state in self.states():
-            graph.add_node(node_id, state=state, initial=node_id in self.initial_ids)
-        for edge in self._edges:
-            graph.add_edge(edge.src, edge.dst, label=edge.label, index=edge.index)
-        return graph
-
     def stats(self) -> Dict[str, int]:
         return {
             "states": self.num_states,

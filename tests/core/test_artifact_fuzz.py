@@ -7,7 +7,9 @@ then damaged three ways: seeded truncations, seeded bit flips and
 wrong-shape documents (``[]``, ``5``, a list where an object belongs).
 The verb that reads it runs in-process on every damaged copy and must
 either exit 2 with exactly one line on stderr or finish as an ordinary
-run (exit 0 or 1).  It may never raise.
+run (exit 0 or 1).  It may never raise.  A trace whose folded fields
+have the wrong type (:data:`FIELD_EDITS`) must exit 2, naming the file
+and the line.
 """
 
 import json
@@ -65,8 +67,32 @@ def _wrong_shapes(data: bytes, jsonl: bool):
     return shapes
 
 
-def _outcome(argv, capsys):
-    """None for an acceptable run, else what went wrong."""
+#: kind -> (record name, field, wrong-typed value): one edited record each
+FIELD_EDITS = {
+    "trace": [("runner.step", "case", [1]), ("runner.step", "step", "x"),
+              ("runner.quiesce", "waited_s", "x"),
+              ("runner.case", "case", {"a": 1}),
+              ("runner.step", "src_fp", [1])],
+}
+
+
+def _field_edits(data: bytes, edits):
+    """One copy of a JSONL file per edit, its first ``name`` record's
+    ``field`` set to ``value``."""
+    edited = []
+    for name, field, value in edits:
+        records = [json.loads(line)
+                   for line in data.decode("utf-8").splitlines()]
+        record = next(r for r in records if r["name"] == name)
+        record["fields"][field] = value
+        edited.append("".join(json.dumps(r) + "\n"
+                              for r in records).encode("utf-8"))
+    return edited
+
+
+def _outcome(argv, capsys, refuse=None):
+    """None for an acceptable run, else what went wrong.  With
+    ``refuse`` (the damaged file), only an exit 2 naming it passes."""
     capsys.readouterr()
     try:
         code = main(argv)
@@ -74,8 +100,12 @@ def _outcome(argv, capsys):
         return f"raised {type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
     if code == 2:
+        if refuse is not None and f"{refuse}:" not in err:
+            return f"exit 2 without naming {refuse}: {err!r}"
         return None if err.count("\n") == 1 and err.endswith("\n") else (
             f"exit 2 with stderr {err!r}")
+    if refuse is not None:
+        return f"exit {code}, not a refusal"
     return None if code in (0, 1) else f"exit {code}"
 
 
@@ -140,7 +170,8 @@ def test_damaged_artifact_fails_closed(kind, made, tmp_path, capsys):
     failures = []
     data = good.read_bytes()
     damaged = _mutations(data) + _wrong_shapes(data, jsonl)
-    for number, data in enumerate(damaged):
+    edited = _field_edits(data, FIELD_EDITS.get(kind, ()))
+    for number, data in enumerate(damaged + edited):
         work = tmp_path / str(number)
         work.mkdir()
         if "/" in name:
@@ -148,7 +179,8 @@ def test_damaged_artifact_fails_closed(kind, made, tmp_path, capsys):
         target = work / name
         target.write_bytes(data)
         argv_n = [arg.format(f=target, d=work / top) for arg in argv]
-        problem = _outcome(argv_n, capsys)
+        refuse = target if number >= len(damaged) else None
+        problem = _outcome(argv_n, capsys, refuse)
         if problem is not None:
             failures.append(f"mutation {number}: {problem}")
     assert not failures, "\n".join(failures)

@@ -124,14 +124,6 @@ class TestLinkCut:
         assert network.send("n2", "n1", "through") is True
         assert network.pending_count("n1") == 1
 
-    def test_rpc_over_a_cut_link_fails(self):
-        network = Network()
-        for node in ("n1", "n2"):
-            network.register(node)
-        network.cut_link("n1", "n2")
-        with pytest.raises(Exception):
-            network.rpc("n1", "n2", {"op": "ping"})
-
     def test_heal_releases_held_messages(self):
         network = Network()
         for node in ("n1", "n2"):

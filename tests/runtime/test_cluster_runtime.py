@@ -11,7 +11,6 @@ from repro.runtime import (
     Node,
     NodeCrashed,
     PersistentStore,
-    RpcError,
     StorageBackend,
 )
 
@@ -145,26 +144,6 @@ class TestNetwork:
         net = Network()
         net.redeliver("ghost", 1)
         assert net.receive("ghost").payload == 1
-
-    def test_rpc_roundtrip(self):
-        net = Network()
-        net.register("srv", rpc_handler=lambda src, req: {"echo": req, "from": src})
-        assert net.rpc("cli", "srv", 42) == {"echo": 42, "from": "cli"}
-
-    def test_rpc_to_down_peer_raises(self):
-        net = Network()
-        with pytest.raises(RpcError):
-            net.rpc("cli", "ghost", 42)
-
-    def test_rpc_handler_error_wrapped(self):
-        net = Network()
-
-        def boom(src, req):
-            raise ValueError("nope")
-
-        net.register("srv", rpc_handler=boom)
-        with pytest.raises(RpcError, match="nope"):
-            net.rpc("cli", "srv", 1)
 
 
 class TestCluster:

@@ -198,13 +198,6 @@ class TestStateGraph:
             "states": 2, "edges": 2, "initial": 1, "terminal": 0, "actions": 2,
         }
 
-    def test_to_networkx(self):
-        graph, a, b = self._small_graph()
-        nxg = graph.to_networkx()
-        assert nxg.number_of_nodes() == 2
-        assert nxg.number_of_edges() == 2
-        assert nxg.nodes[a]["initial"] is True
-
 
 class TestDot:
     def test_encode_decode_scalars(self):

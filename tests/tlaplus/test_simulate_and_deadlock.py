@@ -1,8 +1,6 @@
-"""Tests for simulation mode and deadlock detection."""
+"""Tests for deadlock detection."""
 
-import pytest
-
-from repro.tlaplus import Specification, check, simulate
+from repro.tlaplus import Specification, check
 
 
 def _counter_spec(limit=3, with_reset=True, violation_at=None):
@@ -48,59 +46,3 @@ class TestDeadlockDetection:
         from repro.specs import build_example_spec
 
         assert check(build_example_spec()).deadlocks() == []
-
-
-class TestSimulation:
-    def test_collects_requested_traces(self):
-        result = simulate(_counter_spec(), traces=5, depth=10, seed=1)
-        assert result.ok
-        assert len(result.traces) == 5
-        assert result.states_sampled >= 5
-
-    def test_traces_start_at_init(self):
-        result = simulate(_counter_spec(), traces=3, depth=5)
-        for trace in result.traces:
-            label, state = trace[0]
-            assert label is None and state.n == 0
-
-    def test_traces_are_legal_behaviours(self):
-        spec = _counter_spec()
-        result = simulate(spec, traces=4, depth=12, seed=7)
-        for trace in result.traces:
-            for (_, before), (label, after) in zip(trace, trace[1:]):
-                decl = spec.actions[label.name]
-                assert spec.apply(decl, before, dict(label.params)) == after
-
-    def test_deterministic_given_seed(self):
-        a = simulate(_counter_spec(), traces=4, depth=10, seed=3)
-        b = simulate(_counter_spec(), traces=4, depth=10, seed=3)
-        assert [[s for _, s in t] for t in a.traces] == \
-            [[s for _, s in t] for t in b.traces]
-        c = simulate(_counter_spec(), traces=4, depth=10, seed=4)
-        assert [[s for _, s in t] for t in a.traces] != \
-            [[s for _, s in t] for t in c.traces]
-
-    def test_violation_stops_simulation(self):
-        result = simulate(_counter_spec(violation_at=2), traces=10, depth=10,
-                          seed=0)
-        assert not result.ok
-        assert result.violation.invariant_name == "Bounded"
-        assert result.violation.state.n == 2
-        # the violating trace is a real counterexample prefix
-        labels = [label for label, _ in result.violation.trace]
-        assert labels[0] is None
-
-    def test_dead_end_truncates_trace(self):
-        result = simulate(_counter_spec(limit=1, with_reset=False),
-                          traces=1, depth=50)
-        assert len(result.traces[0]) == 2  # init + one Incr
-
-    def test_raft_simulation_upholds_invariants(self):
-        """Simulation scales to models whose full space we never enumerate."""
-        from repro.specs.raft import RaftSpecOptions, build_raft_spec
-
-        spec = build_raft_spec(RaftSpecOptions(
-            max_term=2, max_client_requests=2, name="raft-sim",
-        ))
-        result = simulate(spec, traces=5, depth=40, seed=11)
-        assert result.ok

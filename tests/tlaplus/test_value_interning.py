@@ -125,9 +125,13 @@ class TestXraft:
     def test_one_object_per_alike_class(self, xraft_graph):
         seen = _reachable(xraft_graph)
         dicts = [value for value in seen.values() if type(value) is FrozenDict]
-        # 21,999 FrozenDict references before hash-consing; 5,279 equal-
-        # distinct values, of which 129 come in a second iteration order
-        assert len(dicts) == len({_alike_class(value) for value in dicts}) == 5408
+        # 21,999 FrozenDict references before hash-consing and 5,279
+        # equal-distinct values.  How many of those also come in a
+        # second iteration order (129 at most hash seeds) follows the
+        # order sets of strings iterate in, so the alike-class total
+        # moves with PYTHONHASHSEED; one object per class holds at all
+        assert len(dicts) == len({_alike_class(value) for value in dicts})
+        assert len(set(dicts)) == 5279
 
     def test_second_check_shares_no_interned_object(self, xraft_graph):
         again = check(get_model("xraft")()).graph
@@ -151,5 +155,9 @@ class TestXraft:
         resumed = check(get_model("xraft")(), checkpoint=tmp_path,
                         resume=True).graph
         assert to_dot(resumed) == to_dot(xraft_graph)
-        assert len([value for value in _reachable(resumed).values()
-                    if type(value) is FrozenDict]) == 5408
+
+        def dicts(graph):
+            return len([value for value in _reachable(graph).values()
+                        if type(value) is FrozenDict])
+
+        assert dicts(resumed) == dicts(xraft_graph)
