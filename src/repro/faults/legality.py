@@ -94,8 +94,7 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
         held.setdefault(case.case_id, []).append(kind)
         problems.extend(_param_violations(injection, kind, where, node_set))
 
-    # the per-case caps, one family at a time: a kind the rule table
-    # would not admit next to what its case already holds
+    # the per-case caps of the rule table, one family at a time
     for family in ("disruptive", "partition-family"):
         for case_id, kinds in sorted(held.items()):
             count = sum(family in RULES[kind].families for kind in kinds)
