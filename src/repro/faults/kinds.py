@@ -30,9 +30,9 @@ import enum
 import random
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-__all__ = ["InjectionMode", "ChaosKind", "KindRule", "RULES", "PARAM_BOUNDS",
-           "step_bounds", "admits", "draw_params", "weaker_variants",
-           "stronger_variants"]
+__all__ = ["InjectionMode", "ChaosKind", "KindRule", "FAMILIES", "RULES",
+           "PARAM_BOUNDS", "step_bounds", "admits", "draw_params",
+           "weaker_variants", "stronger_variants"]
 
 
 class InjectionMode(enum.Enum):
@@ -74,9 +74,12 @@ class KindRule(NamedTuple):
     def families(self) -> Tuple[str, ...]:
         """The capped families of this kind: a case holds at most one
         injection of each."""
-        return tuple(name for name, member in (
-            ("disruptive", self.disruptive),
-            ("partition-family", self.partition)) if member)
+        return tuple(family for family, member in zip(
+            FAMILIES, (self.disruptive, self.partition)) if member)
+
+
+#: the capped families, in the order ``legality`` reports them
+FAMILIES = ("disruptive", "partition-family")
 
 
 #: one row per kind, in the order the fuzz mutators draw from

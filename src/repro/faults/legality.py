@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.testgen.testcase import TestSuite
 from ..tlaplus.graph import StateGraph
-from .kinds import RULES, ChaosKind, InjectionMode, step_bounds
+from .kinds import FAMILIES, RULES, ChaosKind, InjectionMode, step_bounds
 from .plan import FaultInjection, FaultPlan
 
 __all__ = ["plan_violations", "plan_is_legal"]
@@ -95,7 +95,7 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
         problems.extend(_param_violations(injection, kind, where, node_set))
 
     # the per-case caps of the rule table, one family at a time
-    for family in ("disruptive", "partition-family"):
+    for family in FAMILIES:
         for case_id, kinds in sorted(held.items()):
             count = sum(family in RULES[kind].families for kind in kinds)
             if count > 1:
