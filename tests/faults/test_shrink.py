@@ -115,7 +115,7 @@ class TestParamShrinking:
         assert any(v.params.get("group") == ["n1"] for v in variants)
         assert any(v.params.get("heal_after") == 1 for v in variants)
 
-    def test_minimal_values_have_noweaker_variants(self):
+    def test_minimal_values_have_no_weaker_variants(self):
         injection = FaultInjection(
             InjectionMode.CHAOS, ChaosKind.DELAY.value, case_id=0,
             step_index=1, params={"count": 1, "heal_after": 1})
