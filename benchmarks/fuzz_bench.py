@@ -32,7 +32,6 @@ import os
 import sys
 import time
 
-from repro.analysis.effects import analyze_spec
 from repro.core import RunnerConfig, generate_test_cases
 from repro.engine import canonicalize
 from repro.faults import FaultConfig
@@ -82,9 +81,8 @@ def main(argv=None) -> int:
     spec, mapping, cluster_factory = kit("raftkv")
     graph = canonicalize(check(spec, max_states=args.max_states,
                                truncate=True).graph)
-    suite = generate_test_cases(
-        graph, por=True, seed=0,
-        independence=analyze_spec(spec).independence()).truncated(args.cases)
+    suite = generate_test_cases(graph, por=True,
+                                seed=0).truncated(args.cases)
     bed = (mapping, cluster_factory, graph, suite)
 
     print(f"fuzz bench: raftkv, {graph.num_states} states / "

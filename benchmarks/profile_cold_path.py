@@ -1,12 +1,12 @@
 """cProfile of the cold path: check -> testgen -> canon on one catalog model.
 
-Runs what one ``explore-ladder`` rung of the pipeline benchmark runs —
-``check``, the static independence certificates, the POR suite and the
-PathEC suite — plus what ``mocket faults|fuzz|conform`` and the
-benchmark's equivalence stage do with a checked graph: ``canonicalize``,
-``to_dot`` and ``graphs_equivalent`` against a second ``check`` of the
-same spec.  It prints, per model, the stage wall times (unprofiled, best
-of ``--repeats``), the check rate, the action memo's hit ratio and entry
+Runs the cold path of one ``explore-ladder`` rung of the pipeline
+benchmark — ``check``, the POR suite and the PathEC suite — plus what
+``mocket faults|fuzz|conform`` and the benchmark's equivalence stage do
+with a checked graph: ``canonicalize``, ``to_dot`` and
+``graphs_equivalent`` against a second ``check`` of the same spec.  It
+prints, per model, the stage wall times (unprofiled, best of
+``--repeats``), the check rate, the action memo's hit ratio and entry
 count, the profile's top functions by internal time, and an untimed
 ``tracemalloc`` pass: the live MB after check, POR and PathEC, after
 iterating every step of both suites, and the peak.  The committed listings in ``benchmarks/profiles/`` were
@@ -32,7 +32,6 @@ import sys
 import time
 import tracemalloc
 
-from repro.analysis.effects import analyze_spec
 from repro.core import generate_test_cases
 from repro.engine import canonicalize, graphs_equivalent
 from repro.systems.catalog import get_model
@@ -40,7 +39,7 @@ from repro.tlaplus import check
 from repro.tlaplus.dot import to_dot
 
 #: the stages whose wall times are printed, in pipeline order
-STAGES = ("check_s", "independence_s", "por_s", "pathec_s",
+STAGES = ("check_s", "por_s", "pathec_s",
           "canonicalize_s", "to_dot_s", "equiv_s")
 
 
@@ -56,10 +55,8 @@ def rung(spec) -> dict:
 
     result = timed("check_s", lambda: check(spec))
     graph = result.graph
-    independence = timed("independence_s",
-                         lambda: analyze_spec(spec).independence())
-    por = timed("por_s", lambda: generate_test_cases(
-        graph, por=True, seed=0, independence=independence))
+    por = timed("por_s", lambda: generate_test_cases(graph, por=True,
+                                                     seed=0))
     pathec = timed("pathec_s", lambda: generate_test_cases(graph, por=False))
     timed("canonicalize_s", lambda: canonicalize(graph))
     timed("to_dot_s", lambda: to_dot(graph))
@@ -79,8 +76,7 @@ def memory(spec) -> str:
     try:
         graph = check(spec).graph
         live.append(("check", tracemalloc.get_traced_memory()[0]))
-        por = generate_test_cases(graph, por=True, seed=0,
-                                  independence=analyze_spec(spec).independence())
+        por = generate_test_cases(graph, por=True, seed=0)
         live.append(("por", tracemalloc.get_traced_memory()[0]))
         pathec = generate_test_cases(graph, por=False)
         live.append(("pathec", tracemalloc.get_traced_memory()[0]))

@@ -24,9 +24,9 @@ write/read footprints commute (the update dict of each depends only on
 variables the other never writes), so every diamond the graph-level POR
 would discover for such a pair is guaranteed to close — the analysis
 certifies commutativity *before* any state is enumerated, the static
-analogue of Apalache's assignment analysis.  ``find_diamonds`` uses the
-relation to skip per-diamond graph verification (see
-``repro.core.testgen.por``).
+analogue of Apalache's assignment analysis.  ``mocket analyze`` reports
+it; POR itself (``repro.core.testgen.por``) verifies every
+diamond's join on the graph and does not read it.
 
 Extraction is deliberately conservative: anything the analyzer cannot
 resolve (a ``state`` escaping into an unresolvable call, a non-literal
@@ -123,9 +123,10 @@ class ActionEffects:
 class IndependenceRelation:
     """A symmetric relation over action *names* certifying commutativity.
 
-    ``certified(a, b)`` answers in O(1); the relation is safe to hand to
-    :func:`repro.core.testgen.por.find_diamonds`, which will skip the
-    per-diamond join verification for certified pairs.
+    ``certified(a, b)`` answers in O(1).  A certified pair's two
+    interleavings must reach the same state wherever both exist;
+    ``tests/core/test_independence_soundness.py`` checks that on the
+    bundled models.
     """
 
     __slots__ = ("_pairs",)

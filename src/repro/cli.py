@@ -33,21 +33,6 @@ _SYSTEMS = "|".join(TARGETS)
 _BARE_MODELS = "|".join(BARE_MODELS)
 
 
-def _spec_independence(spec):
-    """Static POR certificates for ``spec``; None when unavailable.
-
-    The effect analyzer is conservative — an unanalyzable spec yields
-    an empty relation, and any failure degrades to the legacy dynamic
-    diamond search rather than aborting the command.
-    """
-    try:
-        from .analysis.effects import analyze_spec
-
-        return analyze_spec(spec).independence()
-    except Exception:
-        return None
-
-
 def _with_obs(args, command) -> int:
     """Run ``command`` with tracing/metrics armed as ``--trace`` /
     ``--metrics`` ask; print the metrics table / trace location after."""
@@ -96,8 +81,7 @@ def _cmd_testgen(args) -> int:
         graph = check(spec, max_states=args.max_states, truncate=True,
                       **_check_kwargs(args)).graph
         suite_ec = generate_test_cases(graph, por=False)
-        suite_por = generate_test_cases(graph, por=True, seed=args.seed,
-                                        independence=_spec_independence(spec))
+        suite_por = generate_test_cases(graph, por=True, seed=args.seed)
         print(f"model: {graph.num_states} states, {graph.num_edges} edges")
         print(f"PathEC:     {len(suite_ec)} cases, "
               f"{suite_ec.total_actions()} actions")
@@ -147,8 +131,7 @@ def _suite_kit(args, target, canonical, cases=None, **checkpoint) -> _Kit:
 
         suite = TestSuite.load(args.suite)
     else:
-        suite = generate_test_cases(graph, por=not args.no_por, seed=args.seed,
-                                    independence=_spec_independence(spec))
+        suite = generate_test_cases(graph, por=not args.no_por, seed=args.seed)
     return _Kit(mapping, cluster_factory, graph, suite.truncated(cases))
 
 

@@ -213,13 +213,12 @@ class ControlledTester:
                            step: TestStep) -> tuple:
         """Content-anchored (src, edge, dst) fingerprints of one step.
 
-        The hex values match :mod:`repro.engine.fingerprint` on states
-        and :func:`repro.fuzz.fingerprint.edge_fingerprint` on edges,
-        so offline consumers can align them with the canonical graph
-        regardless of worker count or ``PYTHONHASHSEED``.
+        All three come from :mod:`repro.engine.fingerprint`, as fuzz
+        coverage does, so offline consumers can align them with the
+        canonical graph regardless of worker count or ``PYTHONHASHSEED``.
         """
         # lazy: repro.engine builds on this module
-        from ...engine.fingerprint import fingerprint_state, fingerprint_value
+        from ...engine.fingerprint import edge_fingerprint, fingerprint_state
 
         def state_fp(state) -> int:
             fp = self._fp_cache.get(state)
@@ -232,8 +231,7 @@ class ControlledTester:
                      else case.steps[index - 1].expected_state)
         src = state_fp(src_state)
         dst = state_fp(step.expected_state)
-        edge = fingerprint_value((src, step.label.name, step.label.params,
-                                  dst))
+        edge = edge_fingerprint(src, step.label, dst)
         return f"{src:016x}", f"{edge:016x}", f"{dst:016x}"
 
     # -- steps ----------------------------------------------------------------------

@@ -33,16 +33,14 @@ def generate_test_cases(
     ``por`` — apply partial order reduction before traversal.
     ``seed`` — determinizes POR's interleaving choices.
     ``max_cases`` — optional cap on the number of generated cases.
-    ``independence`` — optional static commutativity certificates from
-    :func:`repro.analysis.effects.analyze_spec`; accelerates POR's
-    diamond search without changing the generated suite.
+    ``independence`` — accepted and ignored, as by
+    :func:`~repro.core.testgen.por.find_diamonds`: POR verifies every
+    diamond's join on the graph.  The frozen benchmark rounds pass it.
     """
     with TRACER.span("testgen.generate", spec=graph.spec_name, por=por,
                      seed=seed) as gen_span:
         end_ids: Iterable[int] = end_states(graph) if end_states is not None else ()
-        excluded = (por_excluded_edges(graph, seed=seed,
-                                       independence=independence)
-                    if por else set())
+        excluded = por_excluded_edges(graph, seed=seed) if por else set()
         traversal = edge_coverage_paths(
             graph,
             end_state_ids=end_ids,

@@ -20,7 +20,7 @@ is deterministic given ``seed``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ...obs import METRICS, TRACER
 from ...tlaplus.graph import Edge, StateGraph
@@ -56,18 +56,15 @@ def find_diamonds(graph: StateGraph, independence=None) -> List[Diamond]:
     For each state, each unordered pair of outgoing edges with distinct
     labels is checked for the matching pair of second hops that join in
     a single state.  Each diamond is reported once (labels ordered by
-    repr, so ``first_a.label < first_b.label``).
+    repr, so ``first_a.label < first_b.label``).  Both second hops must
+    exist: a truncated graph (depth bound) can cut one interleaving
+    short, and those half-diamonds are skipped.
 
-    ``independence`` is an optional
-    :class:`repro.analysis.effects.IndependenceRelation`: for action
-    pairs it certifies as statically commutative the per-diamond join
-    verification is skipped (the disjoint effect footprints already
-    guarantee both interleavings land in the same state).  The result
-    is the same diamond list either way — the certificate is a proof,
-    not a heuristic — which the byte-identical suite guard test checks
-    for every bundled target.  Both second hops must still *exist*: a
-    truncated graph (depth bound) can cut one interleaving short, and
-    those half-diamonds are skipped.
+    ``independence`` is accepted and ignored: every diamond's join is
+    verified on the graph, so static certificates
+    (:meth:`repro.analysis.effects.SpecEffects.independence`) could only
+    admit a pair whose interleavings do not join.  The keyword stays
+    because the frozen benchmark rounds still pass it.
 
     Labels are compared as small ints, one per equality class of the
     graph's labels, ranked by the ``repr`` of each class's first label
@@ -87,7 +84,6 @@ def find_diamonds(graph: StateGraph, independence=None) -> List[Diamond]:
         for edge in adjacency[node_id]:
             index.setdefault(label_class[edge.index], edge)
         first_edge.append(index)
-    certified: Dict[Tuple[str, str], bool] = {}
 
     diamonds: List[Diamond] = []
     for node_id in range(graph.num_states):
@@ -107,23 +103,14 @@ def find_diamonds(graph: StateGraph, independence=None) -> List[Diamond]:
                     label_a, label_b = class_b, class_a
                 second_a = first_edge[first_a.dst].get(label_b)
                 second_b = first_edge[first_b.dst].get(label_a)
-                if second_a is None or second_b is None:
+                if (second_a is None or second_b is None
+                        or second_a.dst != second_b.dst):
                     continue
-                if second_a.dst != second_b.dst:
-                    if independence is None:
-                        continue
-                    names = (first_a.label.name, first_b.label.name)
-                    is_certified = certified.get(names)
-                    if is_certified is None:
-                        is_certified = certified[names] = independence.certified(*names)
-                    if not is_certified:
-                        continue
                 diamonds.append(Diamond(node_id, first_a, second_a, first_b, second_b))
     return diamonds
 
 
-def por_excluded_edges(graph: StateGraph, seed: int = 0,
-                       independence=None) -> Set[Edge]:
+def por_excluded_edges(graph: StateGraph, seed: int = 0) -> Set[Edge]:
     """Pick the coverage targets to drop: one interleaving per diamond.
 
     Returns the set of *second-hop* edges of the non-chosen
@@ -133,18 +120,13 @@ def por_excluded_edges(graph: StateGraph, seed: int = 0,
     later diamond may exclude the other one too: on the raftkv model
     363 of 1,160 diamonds lose both interleavings.  Pinning it changes
     every bundled suite, so it waits for a benchmark re-pin (ROADMAP).
-
-    ``independence`` (optional static certificates from
-    ``repro.analysis.effects``) accelerates the diamond search without
-    changing its result; the seeded exclusion choice consumes the rng
-    identically either way, so suites stay byte-identical.
     """
     rng = random.Random(seed)
     with TRACER.span("por.reduce", spec=graph.spec_name, seed=seed) as por_span:
         excluded: Set[int] = set()   # edge indices
         kept: Set[int] = set()
         result: Set[Edge] = set()
-        diamonds = find_diamonds(graph, independence=independence)
+        diamonds = find_diamonds(graph)
         for diamond in diamonds:
             option_a = diamond.second_a  # drop candidate if order B is kept
             option_b = diamond.second_b
@@ -175,8 +157,8 @@ def por_excluded_edges(graph: StateGraph, seed: int = 0,
         return result
 
 
-def diamond_stats(graph: StateGraph, independence=None) -> Dict[str, int]:
+def diamond_stats(graph: StateGraph) -> Dict[str, int]:
     """Summary numbers for benches: diamonds found and edges dropped."""
-    diamonds = find_diamonds(graph, independence=independence)
-    dropped = por_excluded_edges(graph, independence=independence)
+    diamonds = find_diamonds(graph)
+    dropped = por_excluded_edges(graph)
     return {"diamonds": len(diamonds), "excluded_edges": len(dropped)}

@@ -57,8 +57,6 @@ def label(name: str, **params) -> ActionLabel:
 def scenario_case(
     spec: Specification,
     schedule: Sequence[Union[ActionLabel, Tuple[str, dict]]],
-    case_id: int = 0,
-    initial_index: int = 0,
 ) -> Tuple[StateGraph, TestCase]:
     """Verify ``schedule`` against ``spec`` and build its test case.
 
@@ -78,10 +76,7 @@ def scenario_case(
     if not labels:
         raise ScenarioError("a scenario needs at least one action")
 
-    initial_states = spec.initial_states()
-    if not 0 <= initial_index < len(initial_states):
-        raise ScenarioError(f"no initial state with index {initial_index}")
-    current = initial_states[initial_index]
+    current = spec.initial_states()[0]
 
     graph = StateGraph(f"{spec.name}-scenario")
     current_id = graph.add_state(current, initial=True)
@@ -110,5 +105,5 @@ def scenario_case(
         succ_id = graph.add_state(successor)
         graph.add_edge(current_id, succ_id, enabled_label)
 
-    case = TestCase.from_edges(case_id, graph, edges)
+    case = TestCase.from_edges(0, graph, edges)
     return graph, case

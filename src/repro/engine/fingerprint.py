@@ -33,6 +33,7 @@ __all__ = [
     "FingerprintCollision",
     "canonical_state",
     "canonical_value",
+    "edge_fingerprint",
     "encode_canonical",
     "fingerprint_label",
     "fingerprint_state",
@@ -194,3 +195,9 @@ def fingerprint_label(label: ActionLabel) -> int:
     """Stable unsigned 64-bit fingerprint of an action label."""
     return fingerprint_value((label.name, label.params))
 
+
+def edge_fingerprint(src_fp: int, label: ActionLabel, dst_fp: int) -> int:
+    """Stable fingerprint of one verified transition, from its endpoints'
+    state fingerprints and its label: the ``edge_fp`` of a traced
+    ``runner.step`` and of fuzz coverage alike."""
+    return fingerprint_value((src_fp, label.name, label.params, dst_fp))

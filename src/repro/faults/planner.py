@@ -48,6 +48,7 @@ from .plan import EdgeRef, FaultInjection, FaultPlan
 
 __all__ = ["plan_faults", "apply_plan"]
 
+_TAIL_LENGTH = 2   # verified steps after each spliced fault edge
 _BENIGN_CYCLE = (ChaosKind.PARTITION, ChaosKind.REORDER)
 _DISRUPTIVE_CYCLE = (ChaosKind.BOUNCE, ChaosKind.CRASH)
 # the wider vocabulary, reachable only via max_faults_per_case > 1 so
@@ -69,8 +70,6 @@ def plan_faults(
     seed: str,
     node_ids: Sequence[str],
     chaos: bool = False,
-    tail_length: int = 2,
-    max_modeled: Optional[int] = None,
     target: str = "",
     max_faults_per_case: int = 1,
 ) -> FaultPlan:
@@ -87,15 +86,13 @@ def plan_faults(
 
     # -- modeled splices -----------------------------------------------------
     for case in suite:
-        if max_modeled is not None and len(injections) >= max_modeled:
-            break
         chosen = _choose_modeled(graph, case, mapping, fault_names,
                                  kind_use, _case_rng(seed, case.case_id))
         if chosen is None:
             continue
         position, edge, kind = chosen
         kind_use[kind] = kind_use.get(kind, 0) + 1
-        tail = _choose_tail(graph, edge.dst, fault_names, tail_length,
+        tail = _choose_tail(graph, edge.dst, fault_names,
                             _case_rng(seed, case.case_id, "tail"))
         # with a multi-fault budget, chain further verified fault edges
         # (each with its own short tail) into the same derived case —
@@ -113,7 +110,7 @@ def plan_faults(
             kind_use[extra_kind] = kind_use.get(extra_kind, 0) + 1
             tail.append(extra)
             tail.extend(_choose_tail(
-                graph, extra.dst, fault_names, tail_length,
+                graph, extra.dst, fault_names,
                 _case_rng(seed, case.case_id, f"tail{chain}")))
         injections.append(FaultInjection(
             InjectionMode.MODELED, kind, case.case_id, position,
@@ -210,13 +207,13 @@ def _choose_modeled(graph: StateGraph, case: TestCase, mapping: SpecMapping,
     return position, edge, kind
 
 
-def _choose_tail(graph: StateGraph, start: int, fault_names, length: int,
+def _choose_tail(graph: StateGraph, start: int, fault_names,
                  rng: random.Random) -> List[Edge]:
     """A short verified continuation after the spliced fault edge,
     preferring non-fault transitions."""
     tail: List[Edge] = []
     current = start
-    for _ in range(length):
+    for _ in range(_TAIL_LENGTH):
         outgoing = graph.out_edges(current)
         pool = [e for e in outgoing if e.label.name not in fault_names] or outgoing
         if not pool:

@@ -10,8 +10,10 @@ engine's stable blake2b FP64 fingerprints
 re-explored graphs.
 
 * a **state fingerprint** is ``fingerprint_state(state)``,
-* an **edge fingerprint** is ``fingerprint_value((src_fp, action,
-  params, dst_fp))`` — injective over (endpoint contents, label).
+* an **edge fingerprint** is
+  :func:`~repro.engine.fingerprint.edge_fingerprint` — injective over
+  (endpoint contents, label), and the same value a traced
+  ``runner.step`` records as ``edge_fp``.
 
 :func:`case_coverage` reads coverage straight off a
 :class:`~repro.core.testgen.testcase.TestCase` and the number of steps
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core.testbed.report import SuiteResult
 from ..core.testgen.testcase import TestCase
-from ..engine.fingerprint import fingerprint_state, fingerprint_value
+from ..engine.fingerprint import edge_fingerprint, fingerprint_state
 from ..tlaplus.graph import Edge, StateGraph
 from ..tlaplus.state import State
 
@@ -38,11 +40,6 @@ __all__ = ["GraphIndex", "Coverage", "case_coverage", "run_coverage",
 def format_fp(fp: int) -> str:
     """Fixed-width lowercase hex — the serialized fingerprint form."""
     return f"{fp:016x}"
-
-
-def edge_fingerprint(src_fp: int, label, dst_fp: int) -> int:
-    """Stable fingerprint of one verified transition."""
-    return fingerprint_value((src_fp, label.name, label.params, dst_fp))
 
 
 class Coverage:

@@ -99,7 +99,6 @@ def fuzz_campaign(
     seed_plans: Sequence[FaultPlan] = (),
     runner_config: Optional[RunnerConfig] = None,
     fault_config: Optional[FaultConfig] = None,
-    on_run: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> FuzzResult:
     """Run ``budget`` schedule executions and return the fed corpus.
 
@@ -150,8 +149,6 @@ def fuzz_campaign(
                               mapping, cluster_factory, corpus, index,
                               workers, runner_config, fault_config, guided)
             trajectory.append(record)
-            if on_run is not None:
-                on_run(record)
     corpus.save()
     if TRACER.enabled:
         TRACER.emit("fuzz.done", runs=corpus.runs,

@@ -47,6 +47,7 @@ MUTATORS: Tuple[Tuple[str, int], ...] = (
     ("weaken", 1),
     ("drop", 1),
 )
+_ATTEMPTS = 8   # draws per mutate() before it gives up with a noop
 
 
 class Mutator:
@@ -73,9 +74,8 @@ class Mutator:
 
     # -- entry point -----------------------------------------------------------
     def mutate(self, plan: FaultPlan, rng: random.Random,
-               covered_edges: Set[int],
-               bias_anchors: Set[int] = frozenset(),
-               attempts: int = 8) -> Tuple[str, Optional[FaultPlan]]:
+               covered_edges: Set[int], bias_anchors: Set[int] = frozenset()
+               ) -> Tuple[str, Optional[FaultPlan]]:
         """One legal mutation of ``plan``, or ``("noop", None)``.
 
         Draws an op from the weighted table, applies it, and keeps the
@@ -84,7 +84,7 @@ class Mutator:
         legal move (e.g. modeled splices on a spec without fault
         actions).
         """
-        for _ in range(attempts):
+        for _ in range(_ATTEMPTS):
             op = self._pick_op(rng)
             candidate = self._apply(op, plan, rng, covered_edges,
                                     bias_anchors)

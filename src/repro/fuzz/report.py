@@ -40,29 +40,25 @@ def render_fuzz_json(result: FuzzResult) -> str:
     return json.dumps(fuzz_dict(result), indent=2, sort_keys=True)
 
 
-def render_fuzz_text(result: FuzzResult, verbose: bool = True) -> str:
-    """Human-readable campaign report.
-
-    ``verbose`` adds one line per executed run — readable for tutorial
-    budgets, droppable for long campaigns.
-    """
+def render_fuzz_text(result: FuzzResult) -> str:
+    """Human-readable campaign report: one line per executed run, then
+    coverage, corpus and bug totals."""
     corpus = result.corpus
     lines: List[str] = []
-    if verbose:
-        for record in result.trajectory:
-            gain = []
-            if record["new_states"]:
-                gain.append(f"+{record['new_states']} states")
-            if record["new_edges"]:
-                gain.append(f"+{record['new_edges']} edges")
-            if record["new_bugs"]:
-                gain.append(f"+{len(record['new_bugs'])} bug(s)")
-            kept = (f"kept #{record['kept']}" if record["kept"] is not None
-                    else "discarded")
-            lines.append(f"  run {record['run']:>3} {record['op']:<15} "
-                         f"{record['injections']:>2} injections  "
-                         f"{', '.join(gain) or 'no new coverage'}  "
-                         f"[{kept}]")
+    for record in result.trajectory:
+        gain = []
+        if record["new_states"]:
+            gain.append(f"+{record['new_states']} states")
+        if record["new_edges"]:
+            gain.append(f"+{record['new_edges']} edges")
+        if record["new_bugs"]:
+            gain.append(f"+{len(record['new_bugs'])} bug(s)")
+        kept = (f"kept #{record['kept']}" if record["kept"] is not None
+                else "discarded")
+        lines.append(f"  run {record['run']:>3} {record['op']:<15} "
+                     f"{record['injections']:>2} injections  "
+                     f"{', '.join(gain) or 'no new coverage'}  "
+                     f"[{kept}]")
     lines.append(f"coverage: {result.distinct_states} of "
                  f"{result.graph_states} states, "
                  f"{result.distinct_edges} of {result.graph_edges} "

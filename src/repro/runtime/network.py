@@ -49,7 +49,7 @@ and whoever makes a parked thread runnable credits it *before* the wake
 (:meth:`wake`, :meth:`halt`).  The cluster is quiescent iff the count is
 0 and no *up* node has mail: nothing can happen until the testbed acts.
 Mail for down nodes and envelopes held by the nemesis are retained, not
-pending work.  A thread blocked anywhere else (``time.sleep``, a raw
+pending work.  A thread blocked anywhere else (a sleep, a raw
 ``Event.wait``) stays counted, so the cluster merely never looks
 quiescent and waiters fall back to their upper bounds; threads that were
 never counted (the testbed, a test calling ``receive`` itself) never

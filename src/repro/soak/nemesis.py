@@ -27,14 +27,16 @@ SCHEDULE_FORMAT = "mocket-soak-schedule/1"
 
 # kind -> weight; partitions dominate, crashes and link delays season.
 _KIND_WEIGHTS = (("partition", 5), ("crash", 3), ("delay", 2))
+# simulated seconds: the first fault comes after _START plus a gap, gaps
+# are drawn around _MEAN_GAP, and each fault lasts _MIN.._MAX_DURATION
+_START = 5.0
+_MEAN_GAP = 40.0
+_MIN_DURATION = 3.0
+_MAX_DURATION = 10.0
 
 
 def build_fault_schedule(seed: str, until: float,
-                         node_ids: Sequence[str],
-                         mean_gap: float = 40.0,
-                         min_duration: float = 3.0,
-                         max_duration: float = 10.0,
-                         start: float = 5.0) -> List[Dict[str, Any]]:
+                         node_ids: Sequence[str]) -> List[Dict[str, Any]]:
     """Derive the deterministic fault event list for one shard.
 
     Events are dicts ``{"at": t, "op": ..., ...}`` sorted by time;
@@ -44,13 +46,13 @@ def build_fault_schedule(seed: str, until: float,
     rng = random.Random(f"{seed}:nemesis")
     kinds = [k for k, w in _KIND_WEIGHTS for _ in range(w)]
     events: List[Dict[str, Any]] = []
-    t = start
+    t = _START
     while True:
-        t += rng.uniform(0.5 * mean_gap, 1.5 * mean_gap)
+        t += rng.uniform(0.5 * _MEAN_GAP, 1.5 * _MEAN_GAP)
         if t >= until:
             break
         kind = rng.choice(kinds)
-        duration = rng.uniform(min_duration, max_duration)
+        duration = rng.uniform(_MIN_DURATION, _MAX_DURATION)
         if kind == "partition":
             victim = rng.choice(list(node_ids))
             events.append({"at": round(t, 6), "op": "partition",

@@ -34,22 +34,14 @@ class XraftConfig:
       mechanism involves NoOp log entries confusing the same check; ours
       exercises the identical divergence via the uncommitted-entry path
       — see EXPERIMENTS.md.
-
-    ``election_timeout`` (seconds) arms a randomized election timer and a
-    heartbeat loop, making the cluster fully autonomous in standalone
-    runs.  ``None`` (default) leaves timers off: under Mocket the
-    testbed plays the timer, and deterministic tests drive nodes
-    explicitly.
     """
 
     def __init__(self, bug_duplicate_vote_count: bool = False,
                  bug_votedfor_not_persisted: bool = False,
-                 bug_stale_vote_grant: bool = False,
-                 election_timeout: float = None):
+                 bug_stale_vote_grant: bool = False):
         self.bug_duplicate_vote_count = bug_duplicate_vote_count
         self.bug_votedfor_not_persisted = bug_votedfor_not_persisted
         self.bug_stale_vote_grant = bug_stale_vote_grant
-        self.election_timeout = election_timeout
 
     def __repr__(self) -> str:
         flags = [name for name, on in vars(self).items() if on]

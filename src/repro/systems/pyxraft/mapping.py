@@ -7,8 +7,8 @@ Notable mapping choices, mirroring Section 4.1:
   compares cardinality (the paper's Xraft does exactly this),
 * timer-driven actions (``Timeout``) and send actions
   (``RequestVote``/``AppendEntries``) are driven by the testbed —
-  timers are disabled under controlled testing, so the testbed plays
-  the role of the expired timer,
+  pyxraft has no timers of its own, so the testbed plays the role of
+  the expired timer,
 * message checking uses ``CONSUME`` mode: pyxraft's spec abstracts
   response contents, so bags are validated on consumption (this is what
   turns the deep bug #3 into an *unexpected action* report).

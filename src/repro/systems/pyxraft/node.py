@@ -16,8 +16,6 @@ reset by a restart.
 from __future__ import annotations
 
 import enum
-import random
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.mapping import get_msg, mocket_action, mocket_receive, traced_field
@@ -76,43 +74,12 @@ class XraftNode(Node):
         self.next_index = {p: 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
         self._leadership_claimed = False
-        self._last_leader_contact = 0.0
 
     # -- lifecycle --------------------------------------------------------------
     def on_start(self) -> None:
         self.network.register(self.node_id)
         self.spawn(lambda: self.serve_inbox(self._on_mail),
                    name=f"{self.node_id}-inbox")
-        if self.config.election_timeout is not None:
-            self.spawn(self._timer_loop, name=f"{self.node_id}-timers")
-
-    def _timer_loop(self) -> None:
-        """Standalone-mode timers: election timeout + leader heartbeats.
-
-        Never runs under Mocket (the testbed plays the timer); the
-        election timeout is randomized per Raft to break ties.
-        """
-        base = self.config.election_timeout
-        deadline = time.monotonic() + base * (1 + random.random())
-        while not self.stopping:
-            time.sleep(base / 10)
-            if self.mocket_controlled:
-                return
-            now = time.monotonic()
-            with self.lock:
-                role = self.role
-                last_seen = self._last_leader_contact
-            if role is Role.LEADER:
-                for peer in self.peers:
-                    self.send_append_entries(peer)
-                time.sleep(base / 3)
-                continue
-            if now - last_seen > base and now > deadline:
-                self.trigger_timeout()
-                for peer in self.peers:
-                    self.spawn(lambda p=peer: self.send_request_vote(p),
-                               name=f"{self.node_id}-rv-{peer}")
-                deadline = now + base * (1 + random.random())
 
     def _on_mail(self, envelope) -> None:
         payload = envelope.payload
@@ -305,7 +272,6 @@ class XraftNode(Node):
     def handle_append_entries_request(self, payload: Dict[str, Any]) -> None:
         """Append replicated entries after the consistency check."""
         with self.lock:
-            self._last_leader_contact = time.monotonic()
             if payload["term"] > self.current_term:
                 self._step_down(payload["term"])
             if payload["term"] < self.current_term:

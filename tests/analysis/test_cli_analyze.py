@@ -28,8 +28,9 @@ class TestTextReport:
 
     @pytest.mark.parametrize("target", all_targets())
     def test_bundled_targets_are_fully_certified(self, target, capsys):
-        # the POR fast path leans on this: no unknown footprints and no
-        # purity violations anywhere in the bundled specs
+        # the published independence certificates lean on this: no
+        # unknown footprints and no purity violations anywhere in the
+        # bundled specs
         assert main(["analyze", target]) == 0
         out = capsys.readouterr().out
         assert "?" not in out

@@ -448,7 +448,7 @@ class TestIndependence:
 class TestBundledSpecs:
     """The analyzer must fully certify the bundled specs — no unknown
     effects and no purity violations anywhere (that exactness is what
-    makes the POR fast path safe for them)."""
+    makes their published independence certificates meaningful)."""
 
     @pytest.mark.parametrize("build", [
         build_example_spec, build_raft_spec, build_zab_spec,

@@ -325,19 +325,11 @@ class TestTheSleepsStayGone:
         r"|wait\(0\.\d|timeout=0\.\d|poll="
         r"|join\(timeout=")
 
-    #: pyxraft's standalone timer thread never runs under the testbed
-    #: (it returns when ``mocket_controlled``) and is the documented
-    #: example of undeclared blocking
-    ALLOWED = {("pyxraft/node.py", "time.sleep(base/10)"),
-               ("pyxraft/node.py", "time.sleep(base/3)")}
-
     def test_no_sleep_poll_or_pacing_join(self):
         offenders = []
         for path in GUARDED:
             for number, code in sorted(_code_lines(path).items()):
-                if (self.FORBIDDEN.search(code)
-                        and (f"{path.parent.name}/{path.name}", code)
-                        not in self.ALLOWED):
+                if self.FORBIDDEN.search(code):
                     offenders.append(f"{path.name}:{number}: {code}")
         assert not offenders, "\n".join(offenders)
 

@@ -22,7 +22,6 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 _SCRIPT = textwrap.dedent("""
     import hashlib, io, sys
-    from repro.analysis.effects import analyze_spec
     from repro.core import generate_test_cases
     from repro.engine import canonicalize
     from repro.specs.raft import RaftSpecOptions, build_raft_spec
@@ -52,9 +51,7 @@ _SCRIPT = textwrap.dedent("""
     for name in sys.argv[1:]:
         spec = specs[name]()
         graph = check(spec).graph
-        suite = generate_test_cases(
-            graph, por=True, seed=0,
-            independence=analyze_spec(spec).independence())
+        suite = generate_test_cases(graph, por=True, seed=0)
         buffer = io.StringIO()
         suite.save(buffer)
         print(name, sha(to_dot(graph)), sha(to_dot(canonicalize(graph))),

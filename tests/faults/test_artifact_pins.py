@@ -31,7 +31,6 @@ import hashlib
 import io
 import os
 
-from repro.analysis.effects import analyze_spec
 from repro.core import RunnerConfig, generate_test_cases
 from repro.core.testgen.testcase import TestSuite
 from repro.engine import canonicalize
@@ -82,9 +81,7 @@ def catalog_kit(target):
     spec, mapping, factory = kit(target)
     graph = canonicalize(check(spec, max_states=100_000,
                                truncate=True).graph)
-    suite = generate_test_cases(
-        graph, por=True, seed=0,
-        independence=analyze_spec(spec).independence())
+    suite = generate_test_cases(graph, por=True, seed=0)
     return mapping, factory, graph, suite
 
 

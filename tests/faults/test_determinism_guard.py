@@ -44,11 +44,10 @@ _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
 _FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
-def build_kit(workers=1):
+def build_kit():
     spec = build_raft_spec(RaftSpecOptions(**GUARD_OPTS))
     mapping = build_xraft_mapping(spec, XraftConfig())
-    graph = canonicalize(
-        check(spec, max_states=50_000, truncate=True, workers=workers).graph)
+    graph = canonicalize(check(spec, max_states=50_000, truncate=True).graph)
     suite = generate_test_cases(graph, por=True, seed=0).truncated(4)
     return spec, mapping, graph, suite
 
@@ -70,19 +69,6 @@ class TestPlanBytes:
         first = plan_faults(graph, suite, mapping, "7", NODE_IDS, chaos=True)
         second = plan_faults(graph, suite, mapping, "7", NODE_IDS, chaos=True)
         assert first.to_json() == second.to_json()
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="parallel explorer needs fork")
-    def test_serial_and_parallel_exploration_plan_identically(self):
-        # check() ignores ``workers`` since the sharded explorer was
-        # deleted; this goes when the keyword does (CHANGES.md, PR 12)
-        _, mapping, serial_graph, serial_suite = build_kit(workers=1)
-        _, mapping2, parallel_graph, parallel_suite = build_kit(workers=2)
-        serial_plan = plan_faults(serial_graph, serial_suite, mapping,
-                                  "7", NODE_IDS, chaos=True)
-        parallel_plan = plan_faults(parallel_graph, parallel_suite, mapping2,
-                                    "7", NODE_IDS, chaos=True)
-        assert serial_plan.to_json() == parallel_plan.to_json()
 
 
 @pytest.mark.skipif(not fork_available(),

@@ -3,7 +3,6 @@ toycache kit (cheap to explore, real clusters to run) per session."""
 
 import pytest
 
-from repro.analysis.effects import analyze_spec
 from repro.core import RunnerConfig, generate_test_cases
 from repro.engine import canonicalize
 from repro.systems.catalog import kit
@@ -18,8 +17,7 @@ def toykit():
     """(mapping, cluster_factory, graph, suite) for clean toycache."""
     spec, mapping, cluster_factory = kit("toycache")
     graph = canonicalize(check(spec, max_states=2000, truncate=True).graph)
-    suite = generate_test_cases(graph, por=True, seed=0,
-                                independence=analyze_spec(spec).independence())
+    suite = generate_test_cases(graph, por=True, seed=0)
     return mapping, cluster_factory, graph, suite
 
 
@@ -28,6 +26,5 @@ def buggy_toykit():
     """Same kit with the bug_wrong_max implementation bug seeded."""
     spec, mapping, cluster_factory = kit("toycache", ["bug_wrong_max"])
     graph = canonicalize(check(spec, max_states=2000, truncate=True).graph)
-    suite = generate_test_cases(graph, por=True, seed=0,
-                                independence=analyze_spec(spec).independence())
+    suite = generate_test_cases(graph, por=True, seed=0)
     return mapping, cluster_factory, graph, suite

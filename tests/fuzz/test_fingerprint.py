@@ -1,6 +1,7 @@
 """Coverage fingerprinting: content-anchored state/edge fps, case and
 run coverage extraction, and the graph fingerprint index."""
 
+from repro.core import ControlledTester, generate_test_cases
 from repro.core.testbed.report import SuiteResult, TestCaseResult
 from repro.core.testgen.testcase import TestCase
 from repro.engine.fingerprint import fingerprint_state
@@ -12,6 +13,9 @@ from repro.fuzz import (
     format_fp,
     run_coverage,
 )
+from repro.obs import TRACER
+from repro.systems.catalog import RUNNER, kit
+from repro.tlaplus import check
 
 
 class TestGraphIndex:
@@ -107,6 +111,30 @@ class TestRunCoverage:
             per_case.update(case_coverage(case))
         assert union.states == per_case.states
         assert union.edges == per_case.edges
+
+    def test_traced_run_records_the_same_fingerprints(self):
+        # the runner's runner.step fingerprints (what `trace summarize`
+        # counts) and run_coverage (fuzz corpus, triage) are two
+        # producers of one value
+        spec, mapping, factory = kit("raftkv")
+        graph = check(spec).graph
+        suite = generate_test_cases(graph, por=True, seed=0).truncated(3)
+        tester = ControlledTester(mapping, graph, factory, RUNNER)
+        TRACER.reset()
+        TRACER.configure(enabled=True)
+        try:
+            outcome = tester.run_suite(suite)
+            steps = [event.fields for event in TRACER.events("runner.step")]
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        assert outcome.passed and len(steps) == suite.total_actions()
+        coverage = run_coverage(outcome)
+        assert {step["edge_fp"] for step in steps} == \
+            {format_fp(fp) for fp in coverage.edges}
+        assert ({step["src_fp"] for step in steps}
+                | {step["dst_fp"] for step in steps}) == \
+            {format_fp(fp) for fp in coverage.states}
 
 
 class TestCoverageSerialization:

@@ -198,33 +198,6 @@ class TestVoteFreshness:
             assert n2.voted_for is None             # ...and it is not recorded
 
 
-class TestAutonomousTimers:
-    def test_timer_driven_election_and_failover(self):
-        """With timers armed the cluster elects a leader on its own and
-        fails over when the leader dies."""
-        config = XraftConfig(election_timeout=0.1)
-        with make_xraft_cluster(("n1", "n2", "n3"), config) as cluster:
-            assert _wait_until(
-                lambda: any(n.role is Role.LEADER for n in cluster.live_nodes()),
-                timeout=8.0,
-            )
-            leader = next(n for n in cluster.live_nodes() if n.role is Role.LEADER)
-            cluster.crash_node(leader.node_id)
-            assert _wait_until(
-                lambda: any(n.role is Role.LEADER for n in cluster.live_nodes()),
-                timeout=10.0,
-            )
-            new_leader = next(n for n in cluster.live_nodes()
-                              if n.role is Role.LEADER)
-            assert new_leader.node_id != leader.node_id
-            assert new_leader.current_term > leader.current_term
-
-    def test_timers_stay_quiet_without_config(self):
-        with make_xraft_cluster(("n1", "n2", "n3")) as cluster:
-            time.sleep(0.3)
-            assert all(n.role is Role.FOLLOWER for n in cluster.live_nodes())
-
-
 class TestMessageCodec:
     @pytest.mark.parametrize("msg", [
         {"mtype": "RequestVoteRequest", "mterm": 2, "mlastLogTerm": 1,
