@@ -32,16 +32,11 @@ import os
 import sys
 import time
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
-from repro.faults import FaultConfig
 from repro.fuzz import fuzz_campaign
 from repro.systems.catalog import kit
 from repro.tlaplus import check
-
-FAST = RunnerConfig(match_timeout=2.0, done_timeout=2.0,
-                    quiesce_delay=0.05)
-FAULTS = FaultConfig(convergence_timeout=2.0)
 
 
 def run_arm(bed, guided: bool, budget: int) -> dict:
@@ -51,7 +46,7 @@ def run_arm(bed, guided: bool, budget: int) -> dict:
         graph, suite, mapping, cluster_factory,
         cluster_factory().node_ids,
         budget=budget, fuzz_seed="1", target="raftkv",
-        guided=guided, runner_config=FAST, fault_config=FAULTS)
+        guided=guided)
     elapsed = time.perf_counter() - started
     unattributed = sum(r["unattributed"] for r in result.trajectory)
     return {

@@ -36,9 +36,9 @@ import os
 import sys
 import time
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
-from repro.faults import FaultConfig, plan_faults, shrink_plan
+from repro.faults import plan_faults, shrink_plan
 from repro.faults.plan import FaultInjection, InjectionMode
 from repro.faults.shrink import _Session, _ddmin
 from repro.specs import build_example_spec
@@ -64,9 +64,6 @@ def bench_end_to_end() -> dict:
     started = time.perf_counter()
     result = shrink_plan(
         plan, graph, suite, mapping, factory,
-        RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                     quiesce_delay=0.05),
-        fault_config=FaultConfig(convergence_timeout=1.0),
         budget=200)
     elapsed = time.perf_counter() - started
     return {

@@ -13,11 +13,9 @@ import time
 
 from conftest import print_table
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.core.testgen import diamond_stats
 from repro.systems.pyxraft import XraftConfig, build_xraft_mapping, make_xraft_cluster
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02)
 
 
 def test_bench_ablation_por(benchmark, xraft_model, zab_model):
@@ -90,8 +88,7 @@ def test_bench_ablation_por_runtime(benchmark, xraft_model):
     spec, graph = xraft_model
     config = XraftConfig()
     tester = ControlledTester(build_xraft_mapping(spec, config), graph,
-                              lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
-                              _CONFIG)
+                              lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
     budget = 20
 
     def run(por):

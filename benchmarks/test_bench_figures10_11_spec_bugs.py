@@ -9,14 +9,12 @@ import time
 
 from conftest import print_table
 
-from repro.core import ControlledTester, DivergenceKind, RunnerConfig
+from repro.core import ControlledTester, DivergenceKind
 from repro.systems.raftkv import build_raftkv_mapping, make_raftkv_cluster
 from repro.systems.raftkv.scenarios import (
     raft_spec_bug_missing_reply,
     raft_spec_bug_update_term,
 )
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def _replay(scenario):
@@ -24,7 +22,6 @@ def _replay(scenario):
         build_raftkv_mapping(scenario.spec, scenario.buggy_config),
         scenario.graph,
         lambda: make_raftkv_cluster(scenario.servers, scenario.buggy_config),
-        _CONFIG,
     )
     started = time.monotonic()
     result = tester.run_case(scenario.case)

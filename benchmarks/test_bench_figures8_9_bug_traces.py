@@ -13,11 +13,9 @@ import time
 
 from conftest import print_table
 
-from repro.core import ControlledTester, DivergenceKind, RunnerConfig
+from repro.core import ControlledTester, DivergenceKind
 from repro.systems.pyxraft import XraftConfig, build_xraft_mapping, make_xraft_cluster
 from repro.systems.pyxraft.scenarios import xraft_bug2, xraft_bug3
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def _replay(scenario):
@@ -25,7 +23,6 @@ def _replay(scenario):
         build_xraft_mapping(scenario.spec, scenario.buggy_config),
         scenario.graph,
         lambda: make_xraft_cluster(scenario.servers, scenario.buggy_config),
-        _CONFIG,
     )
     started = time.monotonic()
     result = tester.run_case(scenario.case)

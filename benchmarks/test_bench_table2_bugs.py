@@ -16,7 +16,7 @@ import time
 
 from conftest import print_table
 
-from repro.core import ControlledTester, RunnerConfig
+from repro.core import ControlledTester
 from repro.systems.minizk import MiniZkConfig, build_minizk_mapping, make_minizk_cluster
 from repro.systems.minizk.scenarios import zk_bug_1419, zk_bug_1653
 from repro.systems.pyxraft import XraftConfig, build_xraft_mapping, make_xraft_cluster
@@ -29,7 +29,6 @@ from repro.systems.raftkv.scenarios import (
     raftkv_bug2,
 )
 
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 # (scenario builder, tester kit, paper row: type / inconsistency / time / acts)
 _BUGS = [
@@ -64,7 +63,7 @@ def _run(scenario, kit, config):
     build_mapping, make_cluster, _ = _KITS[kit]
     tester = ControlledTester(
         build_mapping(scenario.spec, config), scenario.graph,
-        lambda: make_cluster(scenario.servers, config), _CONFIG,
+        lambda: make_cluster(scenario.servers, config),
     )
     started = time.monotonic()
     result = tester.run_case(scenario.case)

@@ -17,12 +17,11 @@ import time
 
 from conftest import print_table
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.systems.minizk import MiniZkConfig, build_minizk_mapping, make_minizk_cluster
 from repro.systems.pyxraft import XraftConfig, build_xraft_mapping, make_xraft_cluster
 from repro.systems.raftkv import RaftKvConfig, build_raftkv_mapping, make_raftkv_cluster
 
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02)
 _SAMPLE = 12  # cases timed to estimate the per-case cost
 
 _PAPER = {
@@ -36,8 +35,7 @@ def _measure(name, spec, graph, build_mapping, make_cluster, config):
     suite_ec = generate_test_cases(graph, por=False)
     suite_por = generate_test_cases(graph, por=True)
     tester = ControlledTester(build_mapping(spec, config), graph,
-                              lambda: make_cluster(spec.constants["Server"], config),
-                              _CONFIG)
+                              lambda: make_cluster(spec.constants["Server"], config))
     started = time.monotonic()
     sample = tester.run_suite(suite_por, max_cases=_SAMPLE)
     assert sample.passed, [r.divergence for r in sample.failures][:2]

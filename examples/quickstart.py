@@ -12,7 +12,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.specs import build_example_spec
 from repro.systems.toycache import (
     ToyCacheConfig,
@@ -42,7 +42,6 @@ def main() -> None:
         tester = ControlledTester(
             build_toycache_mapping(), result.graph,
             lambda: make_toycache_cluster(config),
-            RunnerConfig(match_timeout=1.0, done_timeout=1.0),
         )
         outcome = tester.run_suite(suite, stop_on_divergence=True)
         if outcome.passed:

@@ -14,7 +14,7 @@ Run:  python examples/raft_bug_hunt.py
 
 import time
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
 from repro.systems.pyxraft import (
     XraftConfig,
@@ -23,8 +23,6 @@ from repro.systems.pyxraft import (
 )
 from repro.systems.pyxraft.scenarios import xraft_bug1, xraft_bug2, xraft_bug3
 from repro.tlaplus import check
-
-CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def scenario_hunt() -> None:
@@ -35,7 +33,6 @@ def scenario_hunt() -> None:
             build_xraft_mapping(scenario.spec, scenario.buggy_config),
             scenario.graph,
             lambda: make_xraft_cluster(scenario.servers, scenario.buggy_config),
-            CONFIG,
         )
         started = time.monotonic()
         result = tester.run_case(scenario.case)
@@ -62,7 +59,7 @@ def suite_hunt() -> None:
     config = XraftConfig(bug_duplicate_vote_count=True)
     tester = ControlledTester(
         build_xraft_mapping(spec, config), graph,
-        lambda: make_xraft_cluster(("n1", "n2", "n3"), config), CONFIG,
+        lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
     )
     started = time.monotonic()
     outcome = tester.run_suite(suite, stop_on_divergence=True, max_cases=500)

@@ -19,14 +19,12 @@ which is how an investigator concludes the spec, not the code, is wrong
 Run:  python examples/spec_bug_demo.py
 """
 
-from repro.core import ControlledTester, RunnerConfig
+from repro.core import ControlledTester
 from repro.systems.raftkv import build_raftkv_mapping, make_raftkv_cluster
 from repro.systems.raftkv.scenarios import (
     raft_spec_bug_missing_reply,
     raft_spec_bug_update_term,
 )
-
-CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def main() -> None:
@@ -36,7 +34,6 @@ def main() -> None:
             build_raftkv_mapping(scenario.spec, scenario.buggy_config),
             scenario.graph,
             lambda: make_raftkv_cluster(scenario.servers, scenario.buggy_config),
-            CONFIG,
         )
         result = tester.run_case(scenario.case)
         assert not result.passed

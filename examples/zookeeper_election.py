@@ -9,7 +9,7 @@
 Run:  python examples/zookeeper_election.py
 """
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.specs.zab import ZabSpecOptions, build_zab_spec
 from repro.systems.minizk import (
     MiniZkConfig,
@@ -18,8 +18,6 @@ from repro.systems.minizk import (
 )
 from repro.systems.minizk.scenarios import zk_bug_1419, zk_bug_1653
 from repro.tlaplus import check
-
-CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def conformance() -> None:
@@ -34,7 +32,7 @@ def conformance() -> None:
     config = MiniZkConfig()
     tester = ControlledTester(
         build_minizk_mapping(spec, config), result.graph,
-        lambda: make_minizk_cluster(("n1", "n2", "n3"), config), CONFIG,
+        lambda: make_minizk_cluster(("n1", "n2", "n3"), config),
     )
     outcome = tester.run_suite(suite, max_cases=25)
     status = "conform" if outcome.passed else "DIVERGE"
@@ -48,7 +46,6 @@ def bug_reproduction() -> None:
             build_minizk_mapping(scenario.spec, scenario.buggy_config),
             scenario.graph,
             lambda: make_minizk_cluster(scenario.servers, scenario.buggy_config),
-            CONFIG,
         )
         result = tester.run_case(scenario.case)
         assert not result.passed

@@ -21,8 +21,9 @@ from typing import Optional
 from .artifact import ArtifactError
 from .core import ControlledTester, generate_test_cases
 from .obs import METRICS, TRACER, TraceReader
+from .runtime.network import HangGuardTripped
 from .systems.catalog import (
-    BARE_MODELS, MODELS, RUNNER, TARGETS, UnknownName, get_model, kit,
+    BARE_MODELS, MODELS, TARGETS, UnknownName, get_model, kit,
     spec_and_mapping,
 )
 from .tlaplus import check, write_dot
@@ -174,13 +175,12 @@ def _testbed(kit_: _Kit, plan=None):
     runner."""
     if plan is None:
         return kit_.suite, ControlledTester(kit_.mapping, kit_.graph,
-                                            kit_.cluster_factory, RUNNER)
+                                            kit_.cluster_factory)
     from .faults import FaultRunner, apply_plan
 
     print(f"fault plan: {plan.summary()}")
     return (apply_plan(kit_.suite, kit_.graph, plan),
-            FaultRunner(kit_.mapping, kit_.graph, kit_.cluster_factory, plan,
-                        RUNNER))
+            FaultRunner(kit_.mapping, kit_.graph, kit_.cluster_factory, plan))
 
 
 def _triage(args, kit_: _Kit, plan, outcome, graph=None, shrink=False) -> int:
@@ -215,7 +215,7 @@ def _shrink_and_report(args, kit_: _Kit, plan, budget=200, out=None,
 
     try:
         result = shrink_plan(plan, kit_.graph, kit_.suite, kit_.mapping,
-                             kit_.cluster_factory, RUNNER, budget=budget,
+                             kit_.cluster_factory, budget=budget,
                              workers=args.workers)
     except ValueError as exc:
         raise SystemExit(f"shrink: {exc}")
@@ -320,8 +320,8 @@ def _cmd_faults_scenarios(args) -> int:
         scenario = build()
         _spec, mapping, factory = kit(scenario.target, spec=scenario.spec,
                                       servers=scenario.servers)
-        result = FaultRunner(mapping, scenario.graph, factory, scenario.plan,
-                             RUNNER).run_case(scenario.case)
+        result = FaultRunner(mapping, scenario.graph, factory,
+                             scenario.plan).run_case(scenario.case)
         outcome = "pass" if result.passed else result.divergence.kind.value
         rows.append({
             "name": scenario.name,
@@ -364,7 +364,7 @@ def _cmd_fuzz(args) -> int:
                 corpus_dir=args.corpus, target=args.target,
                 chaos=args.chaos, max_faults=args.max_faults,
                 workers=args.workers, guided=not args.unguided,
-                seed_plans=seed_plans, runner_config=RUNNER)
+                seed_plans=seed_plans)
         except FuzzError as exc:
             print(f"fuzz: {exc}", file=sys.stderr)
             return 2
@@ -534,8 +534,8 @@ def _cmd_bugs(args) -> int:
         _spec, mapping, factory = kit(
             name, spec=scenario.spec, config=scenario.buggy_config,
             servers=scenario.servers)
-        result = ControlledTester(mapping, scenario.graph, factory,
-                                  RUNNER).run_case(scenario.case)
+        result = ControlledTester(mapping, scenario.graph,
+                                  factory).run_case(scenario.case)
         if result.passed:
             print(f"{scenario.name}: NOT DETECTED (unexpected)")
             failures += 1
@@ -796,7 +796,8 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except UnknownName as exc:
         raise SystemExit(str(exc))
-    except ArtifactError as exc:
+    except (ArtifactError, HangGuardTripped) as exc:
+        # an unreadable artifact or a harness failure, never a verdict
         print(f"mocket {args.command}: {exc}", file=sys.stderr)
         return 2
 

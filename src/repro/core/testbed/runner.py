@@ -26,6 +26,7 @@ from typing import Callable, List, Optional
 
 from ...obs import METRICS, TRACER
 from ...runtime.cluster import Cluster
+from ...runtime.network import HangGuardTripped
 from ...tlaplus.graph import StateGraph
 from ..mapping.kinds import FaultKind, TriggerKind
 from ..mapping.registry import ActionMapping, SpecMapping
@@ -46,18 +47,16 @@ __all__ = ["RunnerConfig", "ControlledTester"]
 
 
 class RunnerConfig:
-    """Upper bounds for controlled testing.
-
-    Every wait ends as soon as the cluster is quiescent; the three
-    durations are only the ceiling for a system whose threads block
-    outside a declared park point (``docs/RUNTIME.md`` § Quiescence).
+    """Accepted and unread: every testbed wait ends on its event or on
+    cluster quiescence, behind one hang guard (``docs/RUNTIME.md`` §
+    The hang guard).  Constructible for callers that still build one.
     """
 
     def __init__(self, match_timeout: float = 2.0, done_timeout: float = 2.0,
                  quiesce_delay: float = 0.05):
-        self.match_timeout = match_timeout      # upper bound: wait for a matching notification
-        self.done_timeout = done_timeout        # upper bound: wait for an enabled action to finish
-        self.quiesce_delay = quiesce_delay      # upper bound: wait for quiescence before the end-of-case check
+        self.match_timeout = match_timeout
+        self.done_timeout = done_timeout
+        self.quiesce_delay = quiesce_delay
 
 
 class ControlledTester:
@@ -70,11 +69,11 @@ class ControlledTester:
     def __init__(self, mapping: SpecMapping, graph: StateGraph,
                  cluster_factory: Callable[[], Cluster],
                  config: Optional[RunnerConfig] = None):
+        """``config`` is accepted and ignored (:class:`RunnerConfig`)."""
         mapping.validate()
         self.mapping = mapping
         self.graph = graph
         self.cluster_factory = cluster_factory
-        self.config = config or RunnerConfig()
         # state-fingerprint cache for traced runs (states are interned
         # in the graph, so keying by the State object amortizes hashing)
         self._fp_cache: dict = {}
@@ -170,6 +169,11 @@ class ControlledTester:
                     phase_start = time.monotonic()
                     divergence = self._end_of_case_check(case, runtime, checker)
                     phases["check"] = time.monotonic() - phase_start
+        except HangGuardTripped as exc:
+            # ``executed`` is the step in progress, or len(steps) for
+            # the end-of-case check: a harness failure, never a verdict
+            raise HangGuardTripped(
+                f"case {case.case_id}, step {executed}: {exc}") from None
         finally:
             phase_start = time.monotonic()
             runtime.deactivate()
@@ -264,9 +268,7 @@ class ControlledTester:
 
     def _run_spontaneous(self, index: int, step: TestStep,
                          runtime: MocketRuntime) -> Optional[Divergence]:
-        notification = runtime.scheduler.wait_for_label(
-            step.label, self.config.match_timeout
-        )
+        notification = runtime.scheduler.wait_for_label(step.label)
         if notification is None:
             return self._no_match_divergence(index, step, runtime)
         if notification.recv_msg is not None and notification.msg_var is not None:
@@ -343,7 +345,8 @@ class ControlledTester:
             return (action.receive_action is None
                     or notification.name == action.receive_action)
 
-        notification = runtime.scheduler.wait_for(matches, self.config.match_timeout)
+        notification = runtime.scheduler.wait_for(
+            matches, f"the wait for the receive of {message!r}")
         if notification is None:
             return self._no_match_divergence(index, step, runtime)
         runtime.message_sets.remove(decl.message_var, message)
@@ -354,8 +357,7 @@ class ControlledTester:
                          runtime: MocketRuntime, notification: Notification,
                          directive: str = "normal") -> Optional[Divergence]:
         runtime.scheduler.enable(notification, directive)
-        if not runtime.scheduler.wait_done(notification,
-                                           self.config.done_timeout):
+        if not runtime.scheduler.wait_done(notification):
             return Divergence(
                 DivergenceKind.MISSING_ACTION, index, action=step.label.name,
                 detail="the enabled action never finished",
@@ -364,7 +366,8 @@ class ControlledTester:
 
     def _no_match_divergence(self, index: int, step: TestStep,
                              runtime: MocketRuntime) -> Divergence:
-        """Classify a scheduling timeout (Section 4.3.3).
+        """Classify a wait that the cluster's quiescence ended without
+        the scheduled action (Section 4.3.3's scheduler time-out).
 
         If the system produced a notification for the *same action* with
         different parameters, the implementation did something the
@@ -390,16 +393,11 @@ class ControlledTester:
 
         The leftovers are complete once the cluster is quiescent: every
         thread that could still offer an action has done so and parked.
-        ``quiesce_delay`` only bounds that wait — a case that always
-        ends on the bound (``timed_out``) has a thread blocking outside
-        a park point.
         """
         with TRACER.span("runner.quiesce", case=case.case_id) as span:
             started = time.monotonic()
-            settled = runtime.cluster.network.wait_quiescent(
-                self.config.quiesce_delay)
-            span.add(waited_s=time.monotonic() - started,
-                     timed_out=not settled)
+            runtime.cluster.network.wait_quiescent("the end-of-case check")
+            span.add(waited_s=time.monotonic() - started)
         if case.final_id in self.graph.refused_ids:
             # exploration was cut off here (--max-states): the verified
             # enabled set is incomplete, so "not enabled" proves nothing

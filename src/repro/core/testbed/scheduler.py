@@ -8,12 +8,12 @@ scheduled actions".
 
 The waiting set lives under the cluster network's lock and the testbed
 waits on the network's ``idle`` condition, so each wait below is one
-``Condition.wait`` on "what I am waiting for happened, or the cluster is
-quiescent, or the deadline passed".  A quiescent cluster (no runnable
-thread, no deliverable mail — see :mod:`repro.runtime.network`) cannot
-produce the awaited notification or finish the enabled action, so the
-verdict is given at once; the timeout is only the ceiling for systems
-whose threads block outside a declared park point.
+:meth:`~repro.runtime.network.Network.wait_locked` on "what I am
+waiting for happened, or the cluster is quiescent".  A quiescent
+cluster (no runnable thread, no deliverable mail — see
+:mod:`repro.runtime.network`) cannot produce the awaited notification
+or finish the enabled action, so the verdict is given at once, and no
+verdict comes from elapsed time.
 """
 
 from __future__ import annotations
@@ -75,23 +75,13 @@ class Notification:
 
 
 class ActionScheduler:
-    """Waiting set + matching logic.
+    """Waiting set + matching logic over the controlled cluster's
+    ``network``, whose quiescence ends every wait that finds nothing."""
 
-    ``network`` is the controlled cluster's fabric; a scheduler built
-    without one (unit tests) has no cluster to observe and only ever
-    ends a wait on a match or the deadline.
-    """
-
-    def __init__(self, network: Optional[Network] = None):
+    def __init__(self, network: Network):
         self._pending: List[Notification] = []
-        if network is not None:
-            self._cond = network.idle
-            self._quiescent = network.quiescent_locked
-            self._wake = network.wake
-        else:
-            self._cond = threading.Condition()
-            self._quiescent = lambda: False
-            self._wake = threading.Event.set
+        self._network = network
+        self._cond = network.idle
         self.notified_count = 0
 
     # -- hook side ------------------------------------------------------------
@@ -109,55 +99,45 @@ class ActionScheduler:
 
     # -- testbed side -----------------------------------------------------------
     def wait_for(self, predicate: Callable[[Notification], bool],
-                 timeout: float) -> Optional[Notification]:
+                 wait: str) -> Optional[Notification]:
         """Wait until a pending notification satisfies ``predicate``.
 
         The matched notification is removed from the waiting set but NOT
         yet enabled — the caller sets its directive and calls
-        :meth:`enable`.  Returns None as soon as the cluster is
-        quiescent without a match, at the latest after ``timeout``.
+        :meth:`enable`.  Returns None once the cluster is quiescent
+        without a match.  ``wait`` names the wait for the hang guard.
         """
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while True:
-                for notification in self._pending:
-                    if predicate(notification):
-                        self._pending.remove(notification)
-                        if TRACER.enabled:
-                            METRICS.histogram(
-                                "scheduler.queue_wait_seconds"
-                            ).observe(
-                                time.monotonic() - notification.submitted_at
-                            )
-                        return notification
-                if not self._may_progress(deadline):
-                    return None
+            notification = self._network.wait_locked(
+                lambda: next((n for n in self._pending if predicate(n)),
+                             None), wait)
+            if notification is None:
+                self._idle_verdict()
+                return None
+            self._pending.remove(notification)
+        if TRACER.enabled:
+            METRICS.histogram("scheduler.queue_wait_seconds").observe(
+                time.monotonic() - notification.submitted_at)
+        return notification
 
-    def _may_progress(self, deadline: float) -> bool:
-        """One wait (``self._cond`` held) for something to change; False
-        when nothing can any more: the cluster is quiescent — an *idle
-        verdict*, counted — or ``deadline`` has passed."""
-        if self._quiescent():
-            if TRACER.enabled:
-                TRACER.emit("testbed.idle_verdict")
-                METRICS.counter("testbed.idle_verdicts").inc()
-            return False
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        self._cond.wait(remaining)
-        return True
+    @staticmethod
+    def _idle_verdict() -> None:
+        """Count a wait that the cluster's quiescence ended."""
+        if TRACER.enabled:
+            TRACER.emit("testbed.idle_verdict")
+            METRICS.counter("testbed.idle_verdicts").inc()
 
-    def wait_for_label(self, label: ActionLabel, timeout: float) -> Optional[Notification]:
+    def wait_for_label(self, label: ActionLabel) -> Optional[Notification]:
         """Wait for a notification matching the scheduled action exactly."""
-        return self.wait_for(lambda n: n.matches(label), timeout)
+        return self.wait_for(lambda n: n.matches(label),
+                             f"the wait for {label!r}")
 
     def enable(self, notification: Notification,
                directive: str = "normal") -> None:
         """Resume the blocked thread with the given fault directive,
         crediting it to the quiescence count before the wake."""
         notification.directive = directive
-        self._wake(notification.enable_event)
+        self._network.wake(notification.enable_event)
 
     def finish(self, notification: Notification) -> None:
         """Hook side: the enabled action completed."""
@@ -165,17 +145,17 @@ class ActionScheduler:
             notification.done_event.set()
             self._cond.notify_all()
 
-    def wait_done(self, notification: Notification, timeout: float) -> bool:
-        """Wait for an enabled action to finish.  False as soon as the
-        cluster is quiescent with the action unfinished (its thread is
-        parked somewhere and nothing will wake it), at the latest after
-        ``timeout``."""
-        deadline = time.monotonic() + timeout
+    def wait_done(self, notification: Notification) -> bool:
+        """Wait for an enabled action to finish.  False once the cluster
+        is quiescent with the action unfinished (its thread is parked
+        somewhere and nothing will wake it)."""
         with self._cond:
-            while not notification.done_event.is_set():
-                if not self._may_progress(deadline):
-                    return False
-            return True
+            if self._network.wait_locked(
+                    notification.done_event.is_set,
+                    f"the wait for {notification.summary()} to finish"):
+                return True
+            self._idle_verdict()
+            return False
 
     # -- end-of-case bookkeeping ----------------------------------------------------
     def pending_snapshot(self) -> List[Notification]:

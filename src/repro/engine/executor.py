@@ -17,7 +17,9 @@ pool both use:
   stopping result has already run (``stop_on_divergence`` truncates the
   merged cases there and reproduces the serial stop-early list),
 * a worker that raises or dies (a crashed cluster process, an OOM
-  kill) surfaces as :class:`EngineError` instead of a hang,
+  kill) surfaces as :class:`EngineError` instead of a hang — except a
+  tripped hang guard, re-raised as the same
+  :class:`~repro.runtime.network.HangGuardTripped`,
 * :func:`parallel_useful` is the one fork fallback: without ``fork``
   it warns (:class:`EngineFallbackWarning`) and the caller runs
   serially.
@@ -50,6 +52,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..obs import METRICS, TRACER
 from ..core.testbed.report import SuiteResult
 from ..core.testgen.testcase import TestSuite
+from ..runtime.network import HangGuardTripped
 
 __all__ = ["EngineError", "EngineFallbackWarning", "fork_available",
            "parallel_useful", "run_indexed", "run_suite_parallel"]
@@ -94,6 +97,8 @@ def _job_worker(job, task_queue, result_queue, worker_index) -> None:
             result = job(index)
             result_queue.put(("result", worker_index, index, result,
                               time.perf_counter() - started))
+    except HangGuardTripped as exc:
+        result_queue.put(("hang", worker_index, str(exc)))
     except BaseException:
         result_queue.put(("error", worker_index, traceback.format_exc()))
 
@@ -146,6 +151,8 @@ def run_indexed(job: Callable[[int], Any], count: int, workers: int,
                         f"worker(s) {dead} died mid-job; "
                         f"{outstanding} job(s) were still outstanding")
                 continue
+            if message[0] == "hang":
+                raise HangGuardTripped(message[2])
             if message[0] == "error":
                 raise EngineError(
                     f"worker {message[1]} failed:\n{message[2]}")

@@ -6,9 +6,10 @@ cases by the time they reach it — the planner appended them to the
 suite), applies the plan's chaos injections at their step boundaries,
 and changes failure handling in two ways:
 
-* **heal and re-wait** — when a scheduled action times out while
-  chaos faults have been applied, the runner heals every fault and
-  waits once more, until the action matches or the cluster goes idle;
+* **heal and re-wait** — when the cluster goes quiescent without a
+  scheduled action while chaos faults have been applied, the runner
+  heals every fault and waits once more, until the action matches or
+  the cluster goes idle again;
   an injected fault therefore cannot hang a case.  If the re-wait ends
   without the action the case is reported as ``stalled`` (the fourth
   divergence kind) instead of blocking.  Healing holds nothing back,
@@ -45,12 +46,9 @@ __all__ = ["FaultConfig", "FaultRunner"]
 
 
 class FaultConfig:
-    """The convergence ceiling for fault-perturbed cases.
-
-    The end-of-case convergence check waits for the cluster to go
-    quiescent; ``convergence_timeout`` only bounds that wait for a
-    system whose threads block outside a park point.  ``clock`` is
-    accepted and ignored: no fault-layer wait paces itself with time.
+    """Accepted and unread: the convergence check waits for quiescence
+    alone (``docs/FAULTS.md``).  Constructible for callers that still
+    build one.
     """
 
     def __init__(self, convergence_timeout: float = 2.0, clock: Any = None):
@@ -63,10 +61,10 @@ class FaultRunner(ControlledTester):
     def __init__(self, mapping: SpecMapping, graph: StateGraph,
                  cluster_factory: Callable[[], Cluster], plan: FaultPlan,
                  config: Optional[RunnerConfig] = None,
-                 fault_config: Optional[FaultConfig] = None):
-        super().__init__(mapping, graph, cluster_factory, config)
+                 faults: Optional[FaultConfig] = None):
+        """``config`` and ``faults`` are accepted and ignored."""
+        super().__init__(mapping, graph, cluster_factory)
         self.plan = plan
-        self.faults = fault_config or FaultConfig()
         # per-case nemesis state; reset at the top of _run_case
         self._nemesis: Optional[Nemesis] = None
         self._pending: List[FaultInjection] = []
@@ -156,10 +154,8 @@ class FaultRunner(ControlledTester):
                            checker) -> Optional[Divergence]:
         """Compare against the final verified state once the healed
         cluster is quiescent.  The testbed enables nothing here, so no
-        state can change after that; a cluster that never quiesces is
-        compared at the ``convergence_timeout`` ceiling."""
-        runtime.cluster.network.wait_quiescent(
-            self.faults.convergence_timeout)
+        state can change after that."""
+        runtime.cluster.network.wait_quiescent("the convergence check")
         mismatches = checker.compare(case.final_state)
         if not mismatches:
             return None
@@ -167,8 +163,7 @@ class FaultRunner(ControlledTester):
             DivergenceKind.INCONSISTENT_STATE, len(case.steps),
             variables=mismatches,
             detail=(f"no re-convergence to final verified state "
-                    f"s{case.final_id} within "
-                    f"{self.faults.convergence_timeout}s; injected: "
+                    f"s{case.final_id} once quiescent; injected: "
                     f"{'; '.join(self._nemesis.applied)}"),
         )
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.mapping.registry import SpecMapping
-from ..core.testbed.runner import RunnerConfig
 from ..core.testgen.testcase import TestSuite
 from ..obs import TRACER
 from ..runtime.cluster import Cluster
@@ -54,7 +53,7 @@ from ..tlaplus.graph import StateGraph
 from .kinds import weaker_variants
 from .plan import FaultInjection, FaultPlan
 from .planner import apply_plan
-from .runner import FaultConfig, FaultRunner
+from .runner import FaultRunner
 from .triage import triage
 
 __all__ = ["ShrinkResult", "shrink_plan"]
@@ -128,8 +127,6 @@ def shrink_plan(
     suite: TestSuite,
     mapping: SpecMapping,
     cluster_factory: Callable[[], Cluster],
-    runner_config: Optional[RunnerConfig] = None,
-    fault_config: Optional[FaultConfig] = None,
     budget: int = 200,
     workers: int = 1,
 ) -> ShrinkResult:
@@ -147,8 +144,7 @@ def shrink_plan(
     def replay(candidate: FaultPlan, run_suite: TestSuite) -> Dict[str, object]:
         session.replays += 1
         full = apply_plan(run_suite, graph, candidate)
-        runner = FaultRunner(mapping, graph, cluster_factory, candidate,
-                             runner_config, fault_config)
+        runner = FaultRunner(mapping, graph, cluster_factory, candidate)
         outcome = runner.run_suite(full, workers=workers)
         return triage(outcome, candidate)
 

@@ -35,12 +35,11 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.mapping.registry import SpecMapping
-from ..core.testbed.runner import RunnerConfig
 from ..core.testgen.testcase import TestSuite
 from ..faults.legality import plan_violations
 from ..faults.plan import FaultPlan
 from ..faults.planner import apply_plan, plan_faults
-from ..faults.runner import FaultConfig, FaultRunner
+from ..faults.runner import FaultRunner
 from ..faults.triage import divergence_id, triage
 from ..obs import METRICS, TRACER
 from ..tlaplus.graph import StateGraph
@@ -97,8 +96,6 @@ def fuzz_campaign(
     workers: int = 1,
     guided: bool = True,
     seed_plans: Sequence[FaultPlan] = (),
-    runner_config: Optional[RunnerConfig] = None,
-    fault_config: Optional[FaultConfig] = None,
 ) -> FuzzResult:
     """Run ``budget`` schedule executions and return the fed corpus.
 
@@ -147,7 +144,7 @@ def fuzz_campaign(
                 guided)
             record = _execute(plan, op, parent_id, run_index, graph, suite,
                               mapping, cluster_factory, corpus, index,
-                              workers, runner_config, fault_config, guided)
+                              workers, guided)
             trajectory.append(record)
     corpus.save()
     if TRACER.enabled:
@@ -197,11 +194,10 @@ def _next_schedule(run_index: int, rng: random.Random,
 def _execute(plan: FaultPlan, op: str, parent_id: Optional[int],
              run_index: int, graph, suite, mapping, cluster_factory,
              corpus: Corpus, index: GraphIndex, workers: int,
-             runner_config, fault_config, guided: bool) -> Dict[str, Any]:
+             guided: bool) -> Dict[str, Any]:
     """Run one schedule, account its coverage, update the corpus."""
     full = apply_plan(suite, graph, plan)
-    runner = FaultRunner(mapping, graph, cluster_factory, plan,
-                         runner_config, fault_config)
+    runner = FaultRunner(mapping, graph, cluster_factory, plan)
     outcome = runner.run_suite(full, workers=workers)
     payload = triage(outcome, plan)
     coverage = run_coverage(outcome, index)

@@ -303,12 +303,10 @@ class TraceReader:
 
     @staticmethod
     def _quiesce_line(quiesce: Dict[str, Any]) -> str:
-        """End-of-case quiescence waits and idle verdicts.  A wait that
-        ended on its bound means some thread blocks outside a park
-        point; an idle verdict is a timeout cut short by quiescence."""
+        """End-of-case quiescence waits and idle verdicts: scheduler
+        waits that quiescence ended without the awaited action."""
         return (f"quiescence: {quiesce['waits']} end-of-case waits, "
-                f"{quiesce['waited_s']:.3f}s waited, "
-                f"{quiesce['timed_out']} ended on the bound; "
+                f"{quiesce['waited_s']:.3f}s waited; "
                 f"{quiesce['idle_verdicts']} idle verdicts")
 
     @staticmethod
@@ -347,8 +345,7 @@ class TraceReader:
         counts: Dict[str, int] = {}
         shrink_fields = conform_fields = fuzz_fields = None
         soak_fields = None
-        quiesce = {"waits": 0, "waited_s": 0.0, "timed_out": 0,
-                   "idle_verdicts": 0}
+        quiesce = {"waits": 0, "waited_s": 0.0, "idle_verdicts": 0}
         graph_states = graph_edges = None
         check = {"runs": 0, "states": 0, "edges": 0, "memo_hits": 0,
                  "memo_misses": 0, "memo_entries": 0}
@@ -373,7 +370,6 @@ class TraceReader:
             elif event.name == "runner.quiesce":
                 quiesce["waits"] += 1
                 quiesce["waited_s"] += event.fields.get("waited_s", 0.0)
-                quiesce["timed_out"] += bool(event.fields.get("timed_out"))
             elif event.name == "testbed.idle_verdict":
                 quiesce["idle_verdicts"] += 1
             elif event.name == "checker.run":

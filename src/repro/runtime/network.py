@@ -71,7 +71,18 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Envelope", "Network"]
+__all__ = ["Envelope", "HANG_GUARD", "HangGuardTripped", "Network"]
+
+#: The hang guard, in seconds: the longest any testbed wait may last.
+#: Every wait ends on its event or on quiescence, the slowest bundled
+#: step takes about 0.14 s, so only a thread that never parks keeps a
+#: wait going this long — and that is a harness failure, never a verdict.
+HANG_GUARD = 60.0
+
+
+class HangGuardTripped(RuntimeError):
+    """A testbed wait outlived :data:`HANG_GUARD`: some counted thread
+    never parked, so the cluster never went quiescent."""
 
 
 class Envelope:
@@ -165,17 +176,30 @@ class Network:
         with self._lock:
             return self.quiescent_locked()
 
-    def wait_quiescent(self, timeout: float) -> bool:
-        """Block until the cluster is quiescent, at most ``timeout``
-        seconds; False when the bound, not the condition, ended the wait."""
-        deadline = time.monotonic() + timeout
+    def wait_locked(self, find: Callable[[], Any], wait: str) -> Any:
+        """The testbed's one wait, for a caller that holds :attr:`idle`:
+        block until ``find()`` returns something truthy (returned) or
+        the cluster is quiescent without it (None).  Raises
+        :class:`HangGuardTripped`, naming ``wait``, when neither happens
+        within :data:`HANG_GUARD` seconds."""
+        deadline = time.monotonic() + HANG_GUARD
+        while True:
+            found = find()
+            if found:
+                return found
+            if self.quiescent_locked():
+                return None
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise HangGuardTripped(
+                    f"{wait} did not end within {HANG_GUARD:g}s: a thread "
+                    f"never parked")
+            self.idle.wait(remaining)
+
+    def wait_quiescent(self, wait: str = "the wait for quiescence") -> None:
+        """Block until the cluster is quiescent (:meth:`wait_locked`)."""
         with self.idle:
-            while not self.quiescent_locked():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self.idle.wait(remaining)
-            return True
+            self.wait_locked(lambda: None, wait)
 
     def counted(self, target: Callable[[], None]) -> Callable[[], None]:
         """Credit one runnable thread *now* and return the body to run

@@ -120,6 +120,21 @@ class Node:
         self._threads.append(thread)
         return thread
 
+    def spawn_handler(self, handle: Callable[[Any], None], payload: Any,
+                      src: str = "") -> None:
+        """Run ``handle(payload)`` on a thread of its own.  If the node
+        dies before the handler ran, ``payload`` goes back to the
+        mailbox (as sent by ``src``): it is still in flight."""
+
+        def body() -> None:
+            try:
+                handle(payload)
+            except NodeCrashed:
+                self.network.redeliver(self.node_id, payload, src=src)
+                raise
+
+        self.spawn(body)
+
     @property
     def stopping(self) -> bool:
         return self._stop_event.is_set()

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from types import ModuleType
 from typing import Callable, Dict, List, Tuple
 
-from ..core import RunnerConfig
 from ..specs import build_example_spec
 from ..specs.raft import build_raftkv_spec, build_xraft_spec
 from ..specs.zab import ZabSpecOptions, build_zab_spec
@@ -25,13 +24,9 @@ from .minizk import scenarios as minizk_scenarios
 from .pyxraft import scenarios as pyxraft_scenarios
 from .raftkv import scenarios as raftkv_scenarios
 
-__all__ = ["BARE_MODELS", "MODELS", "RUNNER", "TARGETS", "Target",
+__all__ = ["BARE_MODELS", "MODELS", "TARGETS", "Target",
            "UnknownName", "get_model", "get_target", "kit",
            "spec_and_mapping"]
-
-#: the testbed's upper bounds every CLI verb runs the bundled systems under
-RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
-
 
 class UnknownName(ValueError):
     """A target, model or bug-flag name the catalog does not hold."""

@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ...core.mapping import action_span, get_msg, mocket_receive, traced_field
 from ...runtime.cluster import Cluster
-from ...runtime.node import Node, NodeCrashed
+from ...runtime.node import Node
 from .config import MiniZkConfig
 
 __all__ = ["ZkState", "MiniZkNode", "make_minizk_cluster"]
@@ -88,16 +88,7 @@ class MiniZkNode(Node):
                    name=f"{self.node_id}-inbox")
 
     def _on_mail(self, envelope) -> None:
-        payload = envelope.payload
-        self.spawn(lambda: self._dispatch_safe(payload),
-                   name=f"{self.node_id}-handle-{payload.get('type')}")
-
-    def _dispatch_safe(self, payload: Dict[str, Any]) -> None:
-        try:
-            self._dispatch(payload)
-        except NodeCrashed:
-            self.network.redeliver(self.node_id, payload)
-            raise
+        self.spawn_handler(self._dispatch, envelope.payload)
 
     def _dispatch(self, payload: Dict[str, Any]) -> None:
         handlers = {

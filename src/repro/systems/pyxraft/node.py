@@ -82,20 +82,7 @@ class XraftNode(Node):
                    name=f"{self.node_id}-inbox")
 
     def _on_mail(self, envelope) -> None:
-        payload = envelope.payload
-        self.spawn(lambda: self._dispatch_safe(payload),
-                   name=f"{self.node_id}-handle-{payload.get('type')}")
-
-    def _dispatch_safe(self, payload: Dict[str, Any]) -> None:
-        """Handle one message; if the node dies before the handler runs,
-        the message goes back to the mailbox (it is still in flight)."""
-        from ...runtime.node import NodeCrashed
-
-        try:
-            self._dispatch(payload)
-        except NodeCrashed:
-            self.network.redeliver(self.node_id, payload)
-            raise
+        self.spawn_handler(self._dispatch, envelope.payload)
 
     def _dispatch(self, payload: Dict[str, Any]) -> None:
         handlers = {

@@ -122,8 +122,8 @@ class RaftKvNode(Node):
         blocked in :meth:`_call_async`."""
         payload = envelope.payload
         if payload.get("kind") != "reply":
-            self.spawn(lambda: self._serve_safe(payload),
-                       name=f"{self.node_id}-serve")
+            self.spawn_handler(self._serve_and_reply, payload,
+                               src=payload["src"])
             return
         waiter = self._waiters.pop(payload["rpc_id"], None)
         if waiter is not None:
@@ -154,13 +154,8 @@ class RaftKvNode(Node):
         elif reply["type"] == AE_RESPONSE:
             self.handle_append_entries_response(reply)
 
-    def _serve_safe(self, payload: Dict[str, Any]) -> None:
-        try:
-            body = self._serve(payload["body"])
-        except NodeCrashed:
-            # the request was never handled: it is still in flight
-            self.network.redeliver(self.node_id, payload, src=payload["src"])
-            raise
+    def _serve_and_reply(self, payload: Dict[str, Any]) -> None:
+        body = self._serve(payload["body"])
         self.network.send(self.node_id, payload["src"], {
             "kind": "reply", "rpc_id": payload["rpc_id"], "body": body,
         })

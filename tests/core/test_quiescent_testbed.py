@@ -1,11 +1,13 @@
-"""The testbed waits on cluster quiescence, with its timeouts as ceilings.
+"""The testbed's verdicts come from cluster quiescence alone.
 
 Verdict-level checks of the quiescence monitor
-(``tests/runtime/test_quiescence.py`` has the unit tests): timeouts are
-cut short only when nothing can happen any more, a thread blocking
-outside a park point degrades the testbed to its upper bounds and never
-to a wrong verdict, no thread outlives a suite, verdicts hold beside
-busy-looping sibling threads, and the sleeping/polling paths stay gone.
+(``tests/runtime/test_quiescence.py`` has the unit tests): a wait ends
+when its event happens or when nothing can happen any more, a thread
+blocking outside a park point delays the verdict until it exits and
+never changes it, a thread that never parks trips the hang guard — a
+harness failure, not a divergence — no thread outlives a suite,
+verdicts hold beside busy-looping sibling threads, and the
+sleeping/polling paths stay gone.
 """
 
 import io
@@ -18,25 +20,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import (
-    ControlledTester,
-    DivergenceKind,
-    RunnerConfig,
-    generate_test_cases,
-)
+from repro.cli import main
+from repro.core import ControlledTester, DivergenceKind, generate_test_cases
 from repro.core.mapping import SpecMapping, mocket_action, traced_field
 from repro.core.testgen import label, scenario_case
 from repro.faults import (
     ChaosKind,
-    FaultConfig,
     FaultInjection,
     FaultPlan,
     FaultRunner,
     InjectionMode,
 )
-from repro.runtime import Cluster, Node
+from repro.runtime import Cluster, Node, network
+from repro.runtime.network import HangGuardTripped
 from repro.specs import build_example_spec
-from repro.systems.catalog import RUNNER, TARGETS, get_model, kit
+from repro.systems.catalog import TARGETS, get_model, kit
 from repro.systems.toycache import (
     ToyCacheConfig,
     build_toycache_mapping,
@@ -57,11 +55,6 @@ GUARDED = sorted(
        for system in ("pyxraft", "raftkv", "minizk")]
     + [SRC / "systems" / "toycache" / "server.py"])
 
-#: ceilings far above anything a quiescent verdict needs
-_PATIENT = RunnerConfig(match_timeout=10.0, done_timeout=10.0,
-                        quiesce_delay=10.0)
-
-
 @pytest.fixture(scope="module")
 def example_kit():
     graph = check(build_example_spec()).graph
@@ -75,7 +68,7 @@ def raftkv_kit():
     return mapping, factory, graph, generate_test_cases(graph, por=True, seed=0)
 
 
-def _put_system(client, config, in_action=lambda node: None):
+def _put_system(client, in_action=lambda node: None):
     """One node, one action ``Put(v)``; ``client(node, v)`` is the
     client script's body, ``in_action(node)`` runs inside the action."""
     spec = Specification("put", constants={})
@@ -108,7 +101,7 @@ def _put_system(client, config, in_action=lambda node: None):
                                                    params["v"]))
     graph, case = scenario_case(spec, [label("Put", v=1)])
     tester = ControlledTester(mapping, graph,
-                              lambda: Cluster(["s"], PutNode), config)
+                              lambda: Cluster(["s"], PutNode))
     return tester, case
 
 
@@ -120,25 +113,27 @@ def _raftkv_table2_results():
             "raftkv", spec=scenario.spec, config=scenario.buggy_config,
             servers=scenario.servers)
         yield scenario, ControlledTester(
-            mapping, scenario.graph, factory, RUNNER).run_case(scenario.case)
+            mapping, scenario.graph, factory).run_case(scenario.case)
 
 
 class TestTimeoutsAreCeilings:
+    """Section 4.3.3's scheduler time-outs are decided the moment the
+    cluster goes idle; no ceiling is waited out."""
+
     def test_missing_action_is_decided_when_the_cluster_goes_idle(self, example_kit):
         graph, suite = example_kit
         tester = ControlledTester(
             build_toycache_mapping(), graph,
-            lambda: make_toycache_cluster(ToyCacheConfig(bug_forget_respond=True)),
-            _PATIENT)
+            lambda: make_toycache_cluster(ToyCacheConfig(bug_forget_respond=True)))
         started = time.monotonic()
         result = tester.run_case(suite[0])
         assert result.divergence.kind is DivergenceKind.MISSING_ACTION
-        assert time.monotonic() - started < 2.0     # not 10 s
+        assert time.monotonic() - started < 2.0
 
     def test_action_that_never_finishes_is_decided_when_idle(self):
         gate = threading.Event()
         tester, case = _put_system(
-            lambda node, v: node.put(v), _PATIENT,
+            lambda node, v: node.put(v),
             in_action=lambda node: node.wait_or_crash(gate))   # parks
         started = time.monotonic()
         result = tester.run_case(case)
@@ -149,56 +144,115 @@ class TestTimeoutsAreCeilings:
     def test_clean_case_does_not_wait_out_the_quiesce_bound(self, example_kit):
         graph, suite = example_kit
         tester = ControlledTester(build_toycache_mapping(), graph,
-                                  make_toycache_cluster, _PATIENT)
+                                  make_toycache_cluster)
         started = time.monotonic()
         assert tester.run_suite(suite).passed
         assert time.monotonic() - started < 2.0
 
 
 class TestUndeclaredBlockingDegradesToTheBounds:
+    """A thread sleeping outside a park point stays counted: the
+    verdict waits until it exits, and keeps its kind."""
+
     def test_sleeping_client_is_waited_for_not_declared_missing(self):
         def slow_client(node, v):
             time.sleep(0.3)             # not a park point: stays counted
             node.put(v)
 
-        tester, case = _put_system(
-            slow_client, RunnerConfig(match_timeout=5.0, done_timeout=5.0,
-                                      quiesce_delay=0.05))
+        tester, case = _put_system(slow_client)
         assert tester.run_case(case).passed
 
-    def test_missing_action_behind_a_sleeper_ends_on_the_ceiling(self):
+    def test_missing_action_behind_a_sleeper_is_decided_when_it_exits(self):
         def sleeper_only(node, v):
             time.sleep(0.6)
 
-        tester, case = _put_system(
-            sleeper_only, RunnerConfig(match_timeout=0.2, done_timeout=0.2,
-                                       quiesce_delay=0.05))
+        tester, case = _put_system(sleeper_only)
         started = time.monotonic()
         result = tester.run_case(case)
         assert result.divergence.kind is DivergenceKind.MISSING_ACTION
-        assert time.monotonic() - started >= 0.2
+        assert time.monotonic() - started >= 0.6
 
-    def test_convergence_behind_a_sleeper_ends_on_the_ceiling(self):
+    def test_convergence_behind_a_sleeper_is_decided_when_it_exits(self):
         def put_then_sleep(node, v):
             node.put(v)
-            time.sleep(1.0)             # not a park point: stays counted
+            time.sleep(0.6)             # not a park point: stays counted
 
-        tester, case = _put_system(put_then_sleep, RUNNER)
+        tester, case = _put_system(put_then_sleep)
         # bounce the node after the last step: its fresh incarnation
         # never re-converges, and the sleeper keeps the cluster busy
-        plan = FaultPlan("ceiling", [FaultInjection(
+        plan = FaultPlan("sleeper", [FaultInjection(
             InjectionMode.CHAOS, ChaosKind.BOUNCE.value,
             case_id=case.case_id, step_index=len(case.steps),
             params={"node": "s"})], chaos=True)
         runner = FaultRunner(tester.mapping, tester.graph,
-                             tester.cluster_factory, plan, RUNNER,
-                             FaultConfig(convergence_timeout=0.2))
+                             tester.cluster_factory, plan)
         result = runner.run_case(case)
         assert result.divergence.kind is DivergenceKind.INCONSISTENT_STATE
-        assert "within 0.2s" in result.divergence.detail
-        # the ceiling, not the sleeper, ended the wait; teardown's
-        # request join outlasts the rest of the sleep
-        assert 0.2 <= result.phase_seconds["check"] < 1.0
+        assert "once quiescent" in result.divergence.detail
+        # the sleeper's exit, not a ceiling, ended the wait
+        assert result.phase_seconds["check"] >= 0.4
+
+
+class TestNoVerdictFromTheOldCeilings:
+    """Cases whose verdict the testbed's former wall-clock ceilings
+    (``match_timeout`` 1.0 s, ``quiesce_delay`` 0.05 s) decided wrongly."""
+
+    def test_client_slower_than_the_match_timeout_passes(self):
+        def slow_client(node, v):
+            time.sleep(1.5)             # counted throughout
+            node.put(v)
+
+        tester, case = _put_system(slow_client)
+        assert tester.run_case(case).passed
+
+    def test_late_offer_after_the_last_step_is_unexpected(self):
+        def put_then_offer_late(node, v):
+            node.put(v)
+
+            def late():
+                time.sleep(0.2)         # not a park point: stays counted
+                node.put(v)             # Put is not enabled once x == 1
+
+            node.spawn(late)
+
+        tester, case = _put_system(put_then_offer_late)
+        result = tester.run_case(case)
+        assert result.divergence.kind is DivergenceKind.UNEXPECTED_ACTION
+        assert result.divergence.step_index == len(case.steps)
+        assert "is not enabled in the final verified state" in (
+            result.divergence.detail)
+
+
+class TestHangGuard:
+    """A thread that never parks trips the hang guard: the run stops
+    with one error naming the case, the step and the wait, never with
+    a divergence."""
+
+    def test_a_thread_that_never_parks_trips_the_guard(self, monkeypatch):
+        monkeypatch.setattr(network, "HANG_GUARD", 0.2)
+
+        def sleeper_only(node, v):
+            time.sleep(0.6)             # outlives the guard
+
+        tester, case = _put_system(sleeper_only)
+        with pytest.raises(HangGuardTripped) as trip:
+            tester.run_case(case)
+        message = str(trip.value)
+        assert message.startswith(f"case {case.case_id}, step 0: ")
+        assert "the wait for Put(v=1)" in message
+        assert "within 0.2s" in message
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_the_cli_reports_a_trip_as_a_harness_failure(
+            self, monkeypatch, capsys, workers):
+        def trip(self, wait="the wait for quiescence"):
+            raise HangGuardTripped(f"{wait} did not end")
+
+        monkeypatch.setattr(network.Network, "wait_quiescent", trip)
+        assert main(["test", "toycache", "--workers", workers]) == 2
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(r"mocket test: case \d+, step \d+: "
+                            r"the end-of-case check did not end", err), err
 
 
 class TestTruncatedGraph:
@@ -212,8 +266,7 @@ class TestTruncatedGraph:
         suite = generate_test_cases(graph, por=True, seed=0)
         cut = [case for case in suite if case.final_id in graph.refused_ids]
         assert cut, "the model must truncate inside some case"
-        outcome = ControlledTester(mapping, graph, factory,
-                                   RUNNER).run_suite(suite)
+        outcome = ControlledTester(mapping, graph, factory).run_suite(suite)
         assert outcome.passed, [r.divergence.headline()
                                 for r in outcome.failures][:3]
 
@@ -236,7 +289,7 @@ class TestNoThreadOutlivesASuite:
         _mapping, _factory, graph, suite = raftkv_kit
         _spec, mapping, factory = kit("raftkv", bugs)
         baseline = threading.active_count()
-        ControlledTester(mapping, graph, factory, RUNNER).run_suite(
+        ControlledTester(mapping, graph, factory).run_suite(
             suite.truncated(20))
         assert threading.active_count() == baseline
 
@@ -247,8 +300,8 @@ class TestNoThreadOutlivesASuite:
                      "bug_wrong_max"):
             outcome = ControlledTester(
                 build_toycache_mapping(), graph,
-                lambda: make_toycache_cluster(ToyCacheConfig(**{flag: True})),
-                RUNNER).run_suite(suite)
+                lambda: make_toycache_cluster(ToyCacheConfig(**{flag: True}))
+            ).run_suite(suite)
             assert not outcome.passed
         assert threading.active_count() == baseline
 
@@ -263,7 +316,7 @@ class TestUnderCpuContention:
     """ROADMAP aim 3: verdicts hold on a loaded CPU.  Two sibling
     threads spin for the whole test and the interpreter switches threads
     50 times as often as usual, so every hand-off in the testbed is
-    preempted somewhere; the runner keeps its CLI bounds."""
+    preempted somewhere."""
 
     @pytest.fixture
     def busy_siblings(self):
@@ -290,7 +343,7 @@ class TestUnderCpuContention:
 
     def test_clean_raftkv_cases_do_not_diverge(self, raftkv_kit, busy_siblings):
         mapping, factory, graph, suite = raftkv_kit
-        outcome = ControlledTester(mapping, graph, factory, RUNNER).run_suite(
+        outcome = ControlledTester(mapping, graph, factory).run_suite(
             suite.truncated(36))
         assert outcome.passed, [r.divergence.headline()
                                 for r in outcome.failures][:3]
@@ -315,8 +368,7 @@ def _code_lines(path):
 class TestTheSleepsStayGone:
     """Grep guard: the testbed, the fault layer, the threaded runtime
     and the systems' inbox loops pace nothing with wall time.  The only
-    waits left are condition/event waits bounded by a documented
-    ceiling."""
+    waits left are condition/event waits behind the hang guard."""
 
     #: wall-time pacing: a sleep, a poll with a literal sub-second
     #: period, a join used as a pause

@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     ControlledTester,
     DivergenceKind,
-    RunnerConfig,
     generate_test_cases,
 )
 from repro.core.mapping import SpecMapping, mocket_action, traced_field
@@ -25,8 +24,6 @@ from repro.systems.toycache import (
     make_toycache_cluster,
 )
 from repro.tlaplus import check
-
-_FAST = RunnerConfig(match_timeout=0.3, done_timeout=0.3, quiesce_delay=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +50,7 @@ class TestInitialStateCheck:
         cluster_factory = lambda: Cluster(
             ["server"], lambda nid, c: BadInitServer(nid, c, ToyCacheConfig()))
         tester = ControlledTester(build_toycache_mapping(), example_graph,
-                                  cluster_factory, _FAST)
+                                  cluster_factory)
         result = tester.run_case(example_suite[0])
         assert not result.passed
         assert result.divergence.step_index == -1
@@ -65,22 +62,19 @@ class TestSuiteBookkeeping:
     def test_stop_on_divergence_halts_early(self, example_graph, example_suite):
         tester = ControlledTester(
             build_toycache_mapping(), example_graph,
-            lambda: make_toycache_cluster(ToyCacheConfig(bug_wrong_max=True)),
-            _FAST)
+            lambda: make_toycache_cluster(ToyCacheConfig(bug_wrong_max=True)))
         result = tester.run_suite(example_suite, stop_on_divergence=True)
         assert len(result.results) < len(example_suite) or len(example_suite) == 1
 
     def test_max_cases_respected(self, example_graph, example_suite):
         tester = ControlledTester(build_toycache_mapping(), example_graph,
-                                  lambda: make_toycache_cluster(ToyCacheConfig()),
-                                  _FAST)
+                                  lambda: make_toycache_cluster(ToyCacheConfig()))
         result = tester.run_suite(example_suite, max_cases=2)
         assert len(result.results) == 2
 
     def test_elapsed_and_counts_recorded(self, example_graph, example_suite):
         tester = ControlledTester(build_toycache_mapping(), example_graph,
-                                  lambda: make_toycache_cluster(ToyCacheConfig()),
-                                  _FAST)
+                                  lambda: make_toycache_cluster(ToyCacheConfig()))
         result = tester.run_case(example_suite[0])
         assert result.passed
         assert result.executed_actions == len(example_suite[0])
@@ -88,8 +82,7 @@ class TestSuiteBookkeeping:
 
     def test_bug_report_requires_divergence(self, example_graph, example_suite):
         tester = ControlledTester(build_toycache_mapping(), example_graph,
-                                  lambda: make_toycache_cluster(ToyCacheConfig()),
-                                  _FAST)
+                                  lambda: make_toycache_cluster(ToyCacheConfig()))
         result = tester.run_case(example_suite[0])
         with pytest.raises(ValueError):
             result.bug_report()
@@ -102,7 +95,7 @@ class TestValidationAtConstruction:
 
         with pytest.raises(MappingError):
             ControlledTester(mapping, example_graph,
-                             lambda: make_toycache_cluster(), _FAST)
+                             lambda: make_toycache_cluster())
 
 
 class TestMissingVsUnexpectedClassification:
@@ -149,7 +142,7 @@ class TestMissingVsUnexpectedClassification:
             mapping.map_user_request("Put", run_put)
         graph, case = scenario_case(spec, [label("Put", v=1)])
         cluster_factory = lambda: Cluster(["s"], lambda nid, c: PutNode(nid, c))
-        return ControlledTester(mapping, graph, cluster_factory, _FAST), case
+        return ControlledTester(mapping, graph, cluster_factory), case
 
     def test_different_params_is_unexpected(self):
         tester, case = self._spec_and_system(wrong_param=2)
@@ -208,8 +201,7 @@ class TestUnknownReceivedMessage:
             lambda cluster, params, occ: cluster.node("s").recv(received_value))
         graph, case = scenario_case(spec, [label("Recv", m="real")])
         tester = ControlledTester(
-            mapping, graph, lambda: Cluster(["s"], lambda n, c: GhostNode(n, c)),
-            _FAST)
+            mapping, graph, lambda: Cluster(["s"], lambda n, c: GhostNode(n, c)))
         return tester, case
 
     def test_mismatching_message_is_unexpected(self):

@@ -8,36 +8,46 @@ import pytest
 from repro.core.mapping import MessageCheckMode, SpecMapping
 from repro.core.testbed import MessageSets, StateChecker, UNREPORTED
 from repro.core.testbed.scheduler import ActionScheduler, Notification
+from repro.runtime.network import Network
 from repro.tlaplus import ActionLabel, Specification, State, VarKind
 from repro.tlaplus.values import EMPTY_BAG, FrozenDict, bag_add
 
 
+def _scheduler():
+    """A scheduler over an empty network: quiescent unless a counted
+    thread is running."""
+    return ActionScheduler(Network())
+
+
 class TestScheduler:
     def test_submit_then_match(self):
-        sched = ActionScheduler()
+        sched = _scheduler()
         sched.submit(Notification("n1", "Act", {"i": "n1"}))
-        notif = sched.wait_for_label(ActionLabel("Act", {"i": "n1"}), timeout=0.1)
+        notif = sched.wait_for_label(ActionLabel("Act", {"i": "n1"}))
         assert notif is not None and notif.node_id == "n1"
         # matched notifications leave the waiting set
         assert sched.pending_snapshot() == []
 
     def test_no_match_times_out(self):
-        sched = ActionScheduler()
+        """Section 4.3.3's scheduler time-out, decided by quiescence:
+        nothing is running, so no match can come."""
+        sched = _scheduler()
         sched.submit(Notification("n1", "Act", {"i": "n1"}))
-        start = time.monotonic()
-        assert sched.wait_for_label(ActionLabel("Act", {"i": "n2"}), timeout=0.05) is None
-        assert time.monotonic() - start >= 0.05
+        assert sched.wait_for_label(ActionLabel("Act", {"i": "n2"})) is None
         assert len(sched.pending_snapshot()) == 1
 
     def test_match_arriving_late(self):
-        sched = ActionScheduler()
+        network = Network()
+        sched = ActionScheduler(network)
 
         def submit_later():
             time.sleep(0.05)
             sched.submit(Notification("n2", "Act", {}))
 
-        threading.Thread(target=submit_later, daemon=True).start()
-        assert sched.wait_for_label(ActionLabel("Act"), timeout=1.0) is not None
+        # a counted thread keeps the cluster busy until it has submitted
+        threading.Thread(target=network.counted(submit_later),
+                         daemon=True).start()
+        assert sched.wait_for_label(ActionLabel("Act")) is not None
 
     def test_params_are_translated_to_frozen(self):
         notif = Notification("n1", "Act", {"s": {1, 2}})
@@ -46,18 +56,18 @@ class TestScheduler:
 
     def test_enable_sets_directive(self):
         notif = Notification("n1", "Act", {})
-        ActionScheduler().enable(notif, "drop")
+        _scheduler().enable(notif, "drop")
         assert notif.enable_event.is_set()
         assert notif.directive == "drop"
 
     def test_pending_with_name(self):
-        sched = ActionScheduler()
+        sched = _scheduler()
         sched.submit(Notification("n1", "A", {}))
         sched.submit(Notification("n2", "B", {}))
         assert [n.node_id for n in sched.pending_with_name("A")] == ["n1"]
 
     def test_discard_node(self):
-        sched = ActionScheduler()
+        sched = _scheduler()
         keep = Notification("n1", "A", {})
         drop = Notification("n2", "A", {})
         sched.submit(keep)
@@ -67,7 +77,7 @@ class TestScheduler:
         assert drop.directive == "abort" and drop.enable_event.is_set()
 
     def test_abort_all(self):
-        sched = ActionScheduler()
+        sched = _scheduler()
         notifs = [Notification("n1", "A", {}), Notification("n2", "B", {})]
         for n in notifs:
             sched.submit(n)
@@ -80,12 +90,12 @@ class TestScheduler:
         assert notif.recv_msg == FrozenDict({"t": "x"})
 
     def test_fifo_matching_prefers_earliest(self):
-        sched = ActionScheduler()
+        sched = _scheduler()
         first = Notification("n1", "A", {})
         second = Notification("n2", "A", {})
         sched.submit(first)
         sched.submit(second)
-        assert sched.wait_for_label(ActionLabel("A"), timeout=0.1) is first
+        assert sched.wait_for_label(ActionLabel("A")) is first
 
 
 def _spec_for_checker():

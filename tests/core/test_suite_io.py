@@ -45,7 +45,7 @@ class TestSuiteRoundtrip:
             TestSuite.load(str(path))
 
     def test_loaded_suite_runs(self, suite, tmp_path):
-        from repro.core import ControlledTester, RunnerConfig
+        from repro.core import ControlledTester
         from repro.systems.toycache import (
             ToyCacheConfig, build_toycache_mapping, make_toycache_cluster,
         )
@@ -57,7 +57,6 @@ class TestSuiteRoundtrip:
         tester = ControlledTester(
             build_toycache_mapping(), graph,
             lambda: make_toycache_cluster(ToyCacheConfig()),
-            RunnerConfig(match_timeout=1.0, done_timeout=1.0),
         )
         assert tester.run_suite(loaded).passed
 

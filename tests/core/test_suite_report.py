@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core import ControlledTester, generate_test_cases
-from repro.systems.catalog import RUNNER, kit
+from repro.systems.catalog import kit
 from repro.tlaplus import check
 
 
@@ -15,7 +15,7 @@ def buggy_outcome():
     spec, mapping, cluster_factory = kit("toycache", ["bug_wrong_max"])
     graph = check(spec, max_states=100_000, truncate=True).graph
     suite = generate_test_cases(graph, por=True, seed=0)
-    tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
+    tester = ControlledTester(mapping, graph, cluster_factory)
     return tester.run_suite(suite, stop_on_divergence=True)
 
 
@@ -55,7 +55,7 @@ class TestSuiteBugReport:
         spec, mapping, cluster_factory = kit("toycache")
         graph = check(spec, max_states=100_000, truncate=True).graph
         suite = generate_test_cases(graph, por=True, seed=0)
-        tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
+        tester = ControlledTester(mapping, graph, cluster_factory)
         outcome = tester.run_suite(suite, max_cases=1)
         report = outcome.bug_report()
         assert report["divergent"] == 0 and report["failures"] == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.engine import run_suite_parallel
 from repro.specs import build_example_spec
 from repro.systems.toycache import (
@@ -12,15 +12,13 @@ from repro.systems.toycache import (
 )
 from repro.tlaplus import check
 
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02)
-
 
 def _kit(**bug_flags):
     spec = build_example_spec()
     graph = check(spec).graph
     config = ToyCacheConfig(**bug_flags)
     tester = ControlledTester(build_toycache_mapping(), graph,
-                              lambda: make_toycache_cluster(config), _CONFIG)
+                              lambda: make_toycache_cluster(config))
     suite = generate_test_cases(graph, por=False)
     return tester, suite
 

@@ -16,11 +16,10 @@ import json
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.core.testgen.testcase import TestSuite
 from repro.engine import canonicalize
 from repro.faults import (
-    FaultConfig,
     FaultRunner,
     apply_plan,
     plan_faults,
@@ -42,10 +41,6 @@ SEED = "21"
 PICK = [147, 253, 254, 256]
 UNATTRIBUTED_CASE = 253
 UNATTRIBUTED_KIND = "missing_action"
-
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +77,7 @@ class TestAcceptance:
                  if i.case_id == UNATTRIBUTED_CASE]
         assert steps and all(s > 6 for s in steps)  # all post-divergence
 
-        runner = FaultRunner(mapping, graph, factory, plan,
-                             _RUNNER, _FAULTS)
+        runner = FaultRunner(mapping, graph, factory, plan)
         outcome = runner.run_suite(apply_plan(suite, graph, plan))
         payload = triage(outcome, plan)
         assert payload["unattributed"] >= 1, payload
@@ -94,8 +88,8 @@ class TestAcceptance:
 
     def test_shrinks_deterministically_to_a_minimal_repro(self, kit):
         mapping, graph, suite, factory, plan = kit
-        first = shrink_plan(plan, graph, suite, mapping, factory, _RUNNER,
-                            fault_config=_FAULTS, budget=200, workers=1)
+        first = shrink_plan(plan, graph, suite, mapping, factory,
+                            budget=200, workers=1)
         assert first.converged
         assert first.final_count <= 3
         # the minimal plan reproduces the same unattributed kind — here
@@ -105,7 +99,7 @@ class TestAcceptance:
         assert first.final_count == 0
         assert first.replays <= 3
 
-        again = shrink_plan(plan, graph, suite, mapping, factory, _RUNNER,
-                            fault_config=_FAULTS, budget=200, workers=4)
+        again = shrink_plan(plan, graph, suite, mapping, factory,
+                            budget=200, workers=4)
         assert first.minimal.to_json() == again.minimal.to_json()
         assert json.dumps(first.log) == json.dumps(again.log)

@@ -31,14 +31,14 @@ import hashlib
 import io
 import os
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.core.testgen.testcase import TestSuite
 from repro.engine import canonicalize
-from repro.faults import FaultConfig, FaultPlan, plan_faults, shrink_plan
+from repro.faults import FaultPlan, plan_faults, shrink_plan
 from repro.faults.kinds import stronger_variants, weaker_variants
 from repro.fuzz import fuzz_campaign
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
-from repro.systems.catalog import RUNNER, kit
+from repro.systems.catalog import kit
 from repro.systems.raftkv import (
     RaftKvConfig,
     build_raftkv_mapping,
@@ -116,10 +116,7 @@ def shrink_log():
                        target="raftkv", max_faults_per_case=3)
     result = shrink_plan(
         plan, graph, suite, mapping,
-        lambda: make_raftkv_cluster(servers, config),
-        RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                     quiesce_delay=0.05),
-        FaultConfig(convergence_timeout=1.0))
+        lambda: make_raftkv_cluster(servers, config))
     buffer = io.StringIO()
     result.write_log(buffer)
     return result.minimal.to_json() + buffer.getvalue()
@@ -159,7 +156,7 @@ def test_fault_artifacts_match_their_pinned_digests(tmp_path):
         fuzz_campaign(graph, base, mapping, factory, node_ids, budget=12,
                       fuzz_seed=fuzz_seed, corpus_dir=str(corpus_dir),
                       target="raftkv", max_faults=3, guided=guided,
-                      seed_plans=seeds, runner_config=RUNNER)
+                      seed_plans=seeds)
         digests[f"corpus/raftkv/{name}"] = corpus_digest(corpus_dir)
 
     digests["shrink/raftkv"] = sha(shrink_log())

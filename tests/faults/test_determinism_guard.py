@@ -12,10 +12,9 @@ invalidates every replayed plan and triage verdict.
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize, fork_available
 from repro.faults import (
-    FaultConfig,
     FaultRunner,
     apply_plan,
     plan_faults,
@@ -38,10 +37,6 @@ GUARD_OPTS = dict(
     enable_duplicate=True, max_duplicates=1,
     candidates=("n1",), name="faults-guard",
 )
-
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 def build_kit():
@@ -85,8 +80,7 @@ class TestReportIdentity:
 
         outcomes = []
         for workers in (1, 2):
-            tester = FaultRunner(mapping, graph, factory, plan,
-                                 _RUNNER, _FAULTS)
+            tester = FaultRunner(mapping, graph, factory, plan)
             outcomes.append(tester.run_suite(injected, workers=workers))
         assert report_key(outcomes[0]) == report_key(outcomes[1])
         assert triage(outcomes[0], plan) == triage(outcomes[1], plan)

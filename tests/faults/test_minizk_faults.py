@@ -9,9 +9,9 @@ checks every step exactly and a correct implementation must pass.
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
-from repro.faults import FaultConfig, FaultRunner, apply_plan, plan_faults, triage
+from repro.faults import FaultRunner, apply_plan, plan_faults, triage
 from repro.specs.zab import ZabSpecOptions, build_zab_spec
 from repro.systems.minizk import (
     MiniZkConfig,
@@ -21,10 +21,6 @@ from repro.systems.minizk import (
 from repro.tlaplus import check
 
 SERVERS = ("n1", "n2", "n3")
-
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +61,7 @@ def test_minizk_runs_verified_fault_cases_end_to_end(kit):
     runner = FaultRunner(
         mapping, graph,
         lambda: make_minizk_cluster(SERVERS, MiniZkConfig()),
-        plan, _RUNNER, _FAULTS)
+        plan)
     outcome = runner.run_suite(augmented)
     payload = triage(outcome, plan)
     assert payload["unattributed"] == 0, payload

@@ -5,10 +5,8 @@ cluster quiescence, and triage attributes what they inject."""
 
 import pytest
 
-from repro.core import RunnerConfig
 from repro.core.testbed.report import SuiteResult
 from repro.faults import (
-    FaultConfig,
     FaultRunner,
     minizk_crash_restart,
     pyxraft_crash_blackout,
@@ -19,12 +17,7 @@ from repro.faults import (
     triage,
 )
 
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
-
-
-def run_scenario(scenario, runner_config=_RUNNER, fault_config=_FAULTS):
+def run_scenario(scenario):
     if scenario.target == "pyxraft":
         from repro.systems.pyxraft import (
             XraftConfig, build_xraft_mapping, make_xraft_cluster,
@@ -52,8 +45,7 @@ def run_scenario(scenario, runner_config=_RUNNER, fault_config=_FAULTS):
         mapping = build_raftkv_mapping(scenario.spec, config)
         factory = (lambda servers=scenario.servers, cfg=config:
                    make_raftkv_cluster(servers, cfg))
-    tester = FaultRunner(mapping, scenario.graph, factory, scenario.plan,
-                         runner_config, fault_config)
+    tester = FaultRunner(mapping, scenario.graph, factory, scenario.plan)
     return tester.run_case(scenario.case), tester
 
 
@@ -105,24 +97,19 @@ class TestBundledScenarios:
 
 class TestFaultWaitsEndOnQuiescence:
     """The heal-and-re-wait and the convergence check are decided the
-    moment the cluster goes idle; their ceilings are far away."""
+    moment the cluster goes idle; no window or timeout is waited out."""
 
     def test_convergence_verdict_does_not_wait_out_its_window(self):
-        result, _ = run_scenario(raftkv_bounce_leader(),
-                                 fault_config=FaultConfig(
-                                     convergence_timeout=30.0))
+        result, _ = run_scenario(raftkv_bounce_leader())
         assert result.divergence.kind.value == "inconsistent_state"
-        assert "within 30.0s" in result.divergence.detail
+        assert "once quiescent" in result.divergence.detail
         assert result.elapsed_seconds < 1.0
 
     def test_stall_verdict_does_not_wait_out_the_match_timeout(self):
-        patient = RunnerConfig(match_timeout=30.0, done_timeout=30.0,
-                               quiesce_delay=0.05)
-        result, _ = run_scenario(pyxraft_crash_blackout(),
-                                 runner_config=patient)
+        result, _ = run_scenario(pyxraft_crash_blackout())
         assert result.divergence.kind.value == "stalled"
         assert "all faults healed" in result.divergence.detail
-        # well under one 0.25 s backoff pause, let alone match_timeout
+        # well under one 0.25 s backoff pause
         assert result.elapsed_seconds < 0.5
 
 

@@ -12,11 +12,10 @@ import json
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
 from repro.faults import (
     ChaosKind,
-    FaultConfig,
     FaultInjection,
     InjectionMode,
     plan_faults,
@@ -37,10 +36,6 @@ from repro.systems.toycache import (
     make_toycache_cluster,
 )
 from repro.tlaplus import check
-
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 
 def fake_injections(n):
@@ -154,8 +149,7 @@ def failing_kit():
 class TestShrinkEndToEnd:
     def test_unattributed_failure_proves_fault_independence(self, failing_kit):
         plan, graph, suite, mapping, factory = failing_kit
-        result = shrink_plan(plan, graph, suite, mapping, factory,
-                             _RUNNER, _FAULTS)
+        result = shrink_plan(plan, graph, suite, mapping, factory)
         assert result.fault_independent
         assert result.converged
         assert result.final_count == 0
@@ -167,8 +161,7 @@ class TestShrinkEndToEnd:
         plan, graph, suite, mapping, factory = failing_kit
         logs = []
         for round_no in (1, 2):
-            result = shrink_plan(plan, graph, suite, mapping, factory,
-                                 _RUNNER, _FAULTS)
+            result = shrink_plan(plan, graph, suite, mapping, factory)
             path = tmp_path / f"log{round_no}.jsonl"
             result.write_log(str(path))
             logs.append((result.minimal.to_json(), path.read_bytes()))
@@ -176,8 +169,7 @@ class TestShrinkEndToEnd:
 
     def test_log_records_are_trace_shaped(self, failing_kit):
         plan, graph, suite, mapping, factory = failing_kit
-        result = shrink_plan(plan, graph, suite, mapping, factory,
-                             _RUNNER, _FAULTS)
+        result = shrink_plan(plan, graph, suite, mapping, factory)
         names = [record["name"] for record in result.log]
         assert names[0] == "shrink.start"
         assert names[-1] == "shrink.done"
@@ -190,13 +182,11 @@ class TestShrinkEndToEnd:
         plan, graph, suite, mapping, _ = failing_kit
         correct = lambda: make_toycache_cluster(ToyCacheConfig())
         with pytest.raises(ValueError, match="does not fail"):
-            shrink_plan(plan, graph, suite, mapping, correct,
-                        _RUNNER, _FAULTS)
+            shrink_plan(plan, graph, suite, mapping, correct)
 
     def test_tiny_budget_reports_non_convergence(self, failing_kit):
         plan, graph, suite, mapping, factory = failing_kit
-        result = shrink_plan(plan, graph, suite, mapping, factory,
-                             _RUNNER, _FAULTS, budget=2)
+        result = shrink_plan(plan, graph, suite, mapping, factory, budget=2)
         assert not result.converged
         assert result.replays <= 2
         assert "budget exhausted" in result.summary()
@@ -204,5 +194,4 @@ class TestShrinkEndToEnd:
     def test_budget_below_two_is_rejected(self, failing_kit):
         plan, graph, suite, mapping, factory = failing_kit
         with pytest.raises(ValueError, match="budget"):
-            shrink_plan(plan, graph, suite, mapping, factory,
-                        _RUNNER, _FAULTS, budget=1)
+            shrink_plan(plan, graph, suite, mapping, factory, budget=1)

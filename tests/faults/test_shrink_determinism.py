@@ -15,9 +15,9 @@ import sys
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize, fork_available
-from repro.faults import FaultConfig, plan_faults, shrink_plan
+from repro.faults import plan_faults, shrink_plan
 from repro.specs import build_example_spec
 from repro.systems.toycache import (
     ToyCacheConfig,
@@ -26,14 +26,11 @@ from repro.systems.toycache import (
 )
 from repro.tlaplus import check
 
-_RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0,
-                       quiesce_delay=0.05)
-_FAULTS = FaultConfig(convergence_timeout=1.0)
 
 _KIT_SCRIPT = """
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
-from repro.faults import FaultConfig, plan_faults, shrink_plan
+from repro.faults import plan_faults, shrink_plan
 from repro.specs import build_example_spec
 from repro.systems.toycache import (
     ToyCacheConfig, build_toycache_mapping, make_toycache_cluster,
@@ -49,9 +46,7 @@ factory = lambda: make_toycache_cluster(config)
 plan = plan_faults(graph, suite, mapping, "1", factory().node_ids,
                    target="toycache")
 result = shrink_plan(
-    plan, graph, suite, mapping, factory,
-    RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05),
-    FaultConfig(convergence_timeout=1.0))
+    plan, graph, suite, mapping, factory)
 print(result.minimal.to_json(), end="")
 print("===")
 import io
@@ -80,7 +75,7 @@ def test_worker_count_does_not_change_the_minimal_plan(tmp_path):
     outputs = []
     for workers in (1, 4):
         result = shrink_plan(plan, graph, suite, mapping, factory,
-                             _RUNNER, _FAULTS, workers=workers)
+                             workers=workers)
         path = tmp_path / f"log-w{workers}.jsonl"
         result.write_log(str(path))
         outputs.append((result.minimal.to_json(), path.read_bytes()))

@@ -3,14 +3,10 @@ toycache kit (cheap to explore, real clusters to run) per session."""
 
 import pytest
 
-from repro.core import RunnerConfig, generate_test_cases
+from repro.core import generate_test_cases
 from repro.engine import canonicalize
 from repro.systems.catalog import kit
 from repro.tlaplus import check
-
-#: fast timeouts — toycache acts settle in milliseconds
-FAST = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
-
 
 @pytest.fixture(scope="session")
 def toykit():

@@ -14,7 +14,7 @@ from repro.fuzz import (
     run_coverage,
 )
 from repro.obs import TRACER
-from repro.systems.catalog import RUNNER, kit
+from repro.systems.catalog import kit
 from repro.tlaplus import check
 
 
@@ -119,7 +119,7 @@ class TestRunCoverage:
         spec, mapping, factory = kit("raftkv")
         graph = check(spec).graph
         suite = generate_test_cases(graph, por=True, seed=0).truncated(3)
-        tester = ControlledTester(mapping, graph, factory, RUNNER)
+        tester = ControlledTester(mapping, graph, factory)
         TRACER.reset()
         TRACER.configure(enabled=True)
         try:

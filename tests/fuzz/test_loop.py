@@ -7,13 +7,10 @@ import pytest
 from repro.faults import FaultInjection, plan_faults
 from repro.fuzz import FuzzError, GraphIndex, fuzz_campaign
 
-from .conftest import FAST
-
 
 def campaign(toykit, **kwargs):
     mapping, cluster_factory, graph, suite = toykit
-    defaults = dict(budget=4, fuzz_seed="5",
-                    runner_config=FAST, target="toycache")
+    defaults = dict(budget=4, fuzz_seed="5", target="toycache")
     defaults.update(kwargs)
     return fuzz_campaign(graph, suite, mapping, cluster_factory,
                          cluster_factory().node_ids, **defaults)

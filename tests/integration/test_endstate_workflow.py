@@ -4,7 +4,7 @@ BecomeLeader action as an end state" (Section 4.2.1)."""
 
 import pytest
 
-from repro.core import ControlledTester, RunnerConfig, generate_test_cases
+from repro.core import ControlledTester, generate_test_cases
 from repro.core.testgen import reached_by, state_matching, union
 from repro.specs.raft import LEADER, RaftSpecOptions, build_raft_spec
 from repro.systems.pyxraft import (
@@ -13,8 +13,6 @@ from repro.systems.pyxraft import (
     make_xraft_cluster,
 )
 from repro.tlaplus import check
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +51,7 @@ class TestBecomeLeaderEndState:
         config = XraftConfig()
         tester = ControlledTester(build_xraft_mapping(spec, config), graph,
                                   lambda: make_xraft_cluster(("n1", "n2", "n3"),
-                                                             config),
-                                  _CONFIG)
+                                                             config))
         outcome = tester.run_suite(suite, max_cases=25)
         assert outcome.passed, [r.divergence for r in outcome.failures][:3]
 

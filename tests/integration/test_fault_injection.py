@@ -3,7 +3,7 @@ duplicate re-injection path (Section 4.1.2's overridden actions)."""
 
 import pytest
 
-from repro.core import ControlledTester, RunnerConfig
+from repro.core import ControlledTester
 from repro.core.testgen import label, scenario_case
 from repro.specs.raft import FOLLOWER, NIL, RaftSpecOptions, build_raft_spec
 from repro.systems.pyxraft import (
@@ -11,8 +11,6 @@ from repro.systems.pyxraft import (
     build_xraft_mapping,
     make_xraft_cluster,
 )
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
 def _rv_request(src, dst, term):
@@ -34,8 +32,7 @@ def _run(spec, schedule):
     config = XraftConfig()
     tester = ControlledTester(build_xraft_mapping(spec, config), graph,
                               lambda: make_xraft_cluster(("n1", "n2", "n3"),
-                                                         config),
-                              _CONFIG)
+                                                         config))
     return tester.run_case(case), case
 
 

@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     ControlledTester,
     DivergenceKind,
-    RunnerConfig,
     generate_test_cases,
 )
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
@@ -21,8 +20,6 @@ from repro.systems.raftkv import (
     make_raftkv_cluster,
 )
 from repro.tlaplus import check
-
-_CONFIG = RunnerConfig(match_timeout=0.6, done_timeout=0.6, quiesce_delay=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +35,7 @@ def official_model():
 def _tester(spec, graph, config):
     return ControlledTester(
         build_raftkv_mapping(spec, config), graph,
-        lambda: make_raftkv_cluster(("n1", "n2", "n3"), config), _CONFIG,
+        lambda: make_raftkv_cluster(("n1", "n2", "n3"), config),
     )
 
 

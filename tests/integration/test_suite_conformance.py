@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     ControlledTester,
     DivergenceKind,
-    RunnerConfig,
     generate_test_cases,
 )
 from repro.specs.raft import RaftSpecOptions, build_raft_spec
@@ -32,8 +31,6 @@ from repro.systems.raftkv import (
     make_raftkv_cluster,
 )
 from repro.tlaplus import check
-
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +64,7 @@ class TestXraftConformance:
         suite = generate_test_cases(graph, por=True)
         config = XraftConfig()
         tester = ControlledTester(build_xraft_mapping(spec, config), graph,
-                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite)
         assert result.passed, [r.divergence for r in result.failures][:3]
         assert len(result.results) == len(suite)
@@ -78,8 +74,7 @@ class TestXraftConformance:
         suite = generate_test_cases(graph, por=True)
         config = XraftConfig()
         tester = ControlledTester(build_xraft_mapping(spec, config), graph,
-                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite, max_cases=40)
         assert result.passed, [r.divergence for r in result.failures][:3]
 
@@ -91,8 +86,7 @@ class TestXraftConformance:
         suite = generate_test_cases(graph, por=True)
         config = XraftConfig(bug_duplicate_vote_count=True)
         tester = ControlledTester(build_xraft_mapping(spec, config), graph,
-                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite, stop_on_divergence=True, max_cases=400)
         divergence = result.first_divergence()
         assert divergence is not None
@@ -104,8 +98,7 @@ class TestXraftConformance:
         suite = generate_test_cases(graph, por=True)
         config = XraftConfig(bug_votedfor_not_persisted=True)
         tester = ControlledTester(build_xraft_mapping(spec, config), graph,
-                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite, stop_on_divergence=True, max_cases=400)
         divergence = result.first_divergence()
         assert divergence is not None
@@ -125,8 +118,7 @@ class TestRaftKvConformance:
         suite = generate_test_cases(graph, por=True)
         config = RaftKvConfig()
         tester = ControlledTester(build_raftkv_mapping(spec, config), graph,
-                                  lambda: make_raftkv_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_raftkv_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite)
         assert result.passed, [r.divergence for r in result.failures][:3]
 
@@ -142,7 +134,6 @@ class TestMiniZkConformance:
         assert len(suite) >= 1
         config = MiniZkConfig()
         tester = ControlledTester(build_minizk_mapping(spec, config), graph,
-                                  lambda: make_minizk_cluster(("n1", "n2", "n3"), config),
-                                  _CONFIG)
+                                  lambda: make_minizk_cluster(("n1", "n2", "n3"), config))
         result = tester.run_suite(suite, max_cases=40)
         assert result.passed, [r.divergence for r in result.failures][:3]

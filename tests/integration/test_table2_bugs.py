@@ -8,7 +8,7 @@ divergence kind Table 2 reports.
 
 import pytest
 
-from repro.core import ControlledTester, DivergenceKind, RunnerConfig
+from repro.core import ControlledTester, DivergenceKind
 from repro.systems.minizk import (
     MiniZkConfig,
     build_minizk_mapping,
@@ -33,27 +33,25 @@ from repro.systems.raftkv.scenarios import (
     raftkv_bug2,
 )
 
-_CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
-
 
 def _xraft_tester(scenario, config):
     return ControlledTester(
         build_xraft_mapping(scenario.spec, config), scenario.graph,
-        lambda: make_xraft_cluster(scenario.servers, config), _CONFIG,
+        lambda: make_xraft_cluster(scenario.servers, config),
     )
 
 
 def _raftkv_tester(scenario, config):
     return ControlledTester(
         build_raftkv_mapping(scenario.spec, config), scenario.graph,
-        lambda: make_raftkv_cluster(scenario.servers, config), _CONFIG,
+        lambda: make_raftkv_cluster(scenario.servers, config),
     )
 
 
 def _minizk_tester(scenario, config):
     return ControlledTester(
         build_minizk_mapping(scenario.spec, config), scenario.graph,
-        lambda: make_minizk_cluster(scenario.servers, config), _CONFIG,
+        lambda: make_minizk_cluster(scenario.servers, config),
     )
 
 
@@ -167,7 +165,7 @@ class TestRaftSpecBugs:
         config = RaftKvConfig()
         tester = ControlledTester(
             build_raftkv_mapping(spec, config), graph,
-            lambda: make_raftkv_cluster(("n1", "n2", "n3"), config), _CONFIG,
+            lambda: make_raftkv_cluster(("n1", "n2", "n3"), config),
         )
         assert tester.run_case(case).passed
 

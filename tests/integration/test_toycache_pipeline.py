@@ -10,7 +10,6 @@ import pytest
 from repro.core import (
     ControlledTester,
     DivergenceKind,
-    RunnerConfig,
     generate_test_cases,
 )
 from repro.specs import build_example_spec
@@ -37,7 +36,6 @@ def _tester(graph, config: ToyCacheConfig) -> ControlledTester:
         build_toycache_mapping(),
         graph,
         lambda: make_toycache_cluster(config),
-        RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.02),
     )
 
 

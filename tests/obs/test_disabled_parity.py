@@ -2,7 +2,7 @@
 behave byte-identically to the seed: same checker counts, same suite
 outcomes, and zero records emitted."""
 
-from repro.systems.catalog import RUNNER, kit
+from repro.systems.catalog import kit
 from repro.core import ControlledTester, generate_test_cases
 from repro.obs import METRICS, TRACER
 from repro.specs import build_example_spec
@@ -43,7 +43,7 @@ class TestSuiteParity:
         spec, mapping, cluster_factory = kit("toycache")
         graph = check(spec, max_states=100_000, truncate=True).graph
         suite = generate_test_cases(graph, por=True, seed=0)
-        tester = ControlledTester(mapping, graph, cluster_factory, RUNNER)
+        tester = ControlledTester(mapping, graph, cluster_factory)
         outcome = tester.run_suite(suite)
         # the seed's toycache result: 4 cases, all passing
         assert len(outcome.results) == 4

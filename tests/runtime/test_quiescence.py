@@ -23,7 +23,13 @@ from repro.runtime import Cluster, Node, NodeCrashed
 from repro.runtime.network import Network
 from repro.systems.catalog import kit
 
-WAIT = 5.0   # upper bound on every wait below; none is expected to be hit
+WAIT = 5.0   # upper bound on every join below; none is expected to be hit
+
+
+def quiesced(network):
+    """Wait for quiescence (behind the hang guard); True when reached."""
+    network.wait_quiescent()
+    return network.quiescent
 
 
 class ProbeEvent(threading.Event):
@@ -57,7 +63,7 @@ def park_on(node, event, then=lambda: None):
         then()
 
     thread = node.spawn(body)
-    assert node.network.wait_quiescent(WAIT)
+    assert quiesced(node.network)
     return thread
 
 
@@ -74,7 +80,7 @@ class TestCreditBeforeWake:
         monkeypatch.setattr(threading.Thread, "start", probing_start)
         cluster.node("a").spawn(lambda: None).join(WAIT)
         assert seen == [1]
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
 
     def test_wake_credits_the_parked_thread_first(self, cluster):
         network = cluster.network
@@ -88,7 +94,7 @@ class TestCreditBeforeWake:
             assert gate.busy_at_set == 1
             assert not network.quiescent
         thread.join(WAIT)
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
 
     def test_enable_and_abort_credit_before_the_event_fires(self, cluster):
         network = cluster.network
@@ -120,10 +126,10 @@ class TestCreditBeforeWake:
 
         node = cluster.node("a")
         node.spawn(body)
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
         cluster.crash_node("a")
         assert gate.busy_at_set == 1 and crashed == [True]
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
 
     def test_rpc_reply_credits_the_blocked_caller(self, monkeypatch):
         from repro.systems.raftkv import node as raftkv_node
@@ -142,7 +148,7 @@ class TestCreditBeforeWake:
             got = []
             caller = n1.spawn(
                 lambda: got.append(n1._call_async("n2", {"type": "x"})()))
-            assert network.wait_quiescent(WAIT)
+            assert quiesced(network)
             (rpc_id, waiter), = n1._waiters.items()
             network.send("n2", "n1", {"kind": "reply", "rpc_id": rpc_id,
                                       "body": {"ok": True}})
@@ -161,27 +167,27 @@ class TestCreditBeforeWake:
             taken.append(network.receive("a", stop=stop))
 
         thread = cluster.node("a").spawn(loop)
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
         with network._lock:
             # put + resume under one lock: never idle in between
             network._put(network._inboxes["a"], "mail")
             assert not network.quiescent_locked()
         thread.join(WAIT)
-        assert taken == ["mail"] and network.wait_quiescent(WAIT)
+        assert taken == ["mail"] and quiesced(network)
 
 
 class TestUndeclaredBlockingStaysBusy:
     def test_sleeping_thread_blocks_quiescence(self, cluster):
         network = cluster.network
         cluster.node("a").spawn(lambda: time.sleep(0.3))
-        assert not network.wait_quiescent(0.05)
-        assert network.wait_quiescent(WAIT)
+        assert not network.quiescent
+        assert quiesced(network)
 
     def test_raw_event_wait_blocks_quiescence(self, cluster):
         network = cluster.network
         gate = threading.Event()
         thread = cluster.node("a").spawn(gate.wait)
-        assert not network.wait_quiescent(0.05)
+        assert not network.quiescent
         gate.set()
         thread.join(WAIT)
         assert network.quiescent
@@ -237,7 +243,7 @@ class TestWhatCountsAsPendingWork:
         network.register("a")
         assert network.quiescent
         network.send("x", "a", 1)
-        assert not network.quiescent and not network.wait_quiescent(0.02)
+        assert not network.quiescent
         network.receive("a")
         assert network.quiescent
 
@@ -270,7 +276,7 @@ class TestWhatCountsAsPendingWork:
         network.send("x", "a", 1)
         woken = []
         waiter = threading.Thread(
-            target=lambda: woken.append(network.wait_quiescent(WAIT)))
+            target=lambda: woken.append(quiesced(network)))
         waiter.start()
         network.corrupt_inbox("a", random.Random(0))
         waiter.join(WAIT)
@@ -282,7 +288,7 @@ class TestCrashLosesNothingInFlight:
         network, node = cluster.network, cluster.node("a")
         handled = []
         thread = node.spawn(lambda: node.serve_inbox(handled.append))
-        assert network.wait_quiescent(WAIT)
+        assert quiesced(network)
         with network._lock:             # mail lands as the node stops
             network._put(network._inboxes["a"], "late")
             node._stop_event.set()
@@ -290,6 +296,19 @@ class TestCrashLosesNothingInFlight:
         thread.join(WAIT)
         assert not thread.is_alive()
         assert handled == [] and network.pending_count("a") == 1
+
+    def test_handler_that_dies_before_running_remailboxes_its_payload(
+            self, cluster):
+        network, node = cluster.network, cluster.node("a")
+
+        def handle(payload):
+            node.wait_or_crash(threading.Event())   # blocked like a hook
+
+        node.spawn_handler(handle, "mail", src="b")
+        assert quiesced(network)
+        cluster.crash_node("a")
+        (envelope,) = network._inboxes["a"]
+        assert (envelope.src, envelope.payload) == ("b", "mail")
 
     def test_reply_that_raced_the_stop_is_remailboxed(self):
         spec, mapping, factory = kit("raftkv")
@@ -347,7 +366,7 @@ class TestStress:
         try:
             threads = [node.spawn(lambda i=i: player(i))
                        for i in range(players)]
-            assert network.wait_quiescent(WAIT)
+            assert quiesced(network)
             watcher = threading.Thread(target=observer, daemon=True)
             network.wake(events[0])
             watcher.start()

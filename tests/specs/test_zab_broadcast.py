@@ -154,7 +154,7 @@ class TestProposalFlow:
 
 class TestControlledBroadcast:
     def test_full_pipeline_scenario_passes(self):
-        from repro.core import ControlledTester, RunnerConfig
+        from repro.core import ControlledTester
         from repro.systems.minizk import (
             MiniZkConfig, build_minizk_mapping, make_minizk_cluster,
         )
@@ -179,7 +179,6 @@ class TestControlledBroadcast:
         tester = ControlledTester(
             build_minizk_mapping(spec, config), graph,
             lambda: make_minizk_cluster(("n1", "n2", "n3"), config),
-            RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05),
         )
         result = tester.run_case(case)
         assert result.passed, result.divergence

@@ -25,8 +25,6 @@ from repro.systems.raftkv.sim import (
     LEADER, SimRaftKvConfig, make_sim_raftkv_cluster,
 )
 
-WAIT = 5.0   # upper bound on reaching a quiescent point (threaded side)
-
 #: ``follower 0/1`` = the first/second non-leader in id order
 SCRIPT = (
     ("elect",),
@@ -57,7 +55,7 @@ class ThreadedRaftKv:
         return sorted(n for n in self.cluster.node_ids if n != "n1")
 
     def settle(self):
-        assert self.cluster.network.wait_quiescent(WAIT)
+        self.cluster.network.wait_quiescent()
 
     def _heartbeat(self):
         """Replicate to every reachable follower until it holds the
