@@ -43,7 +43,7 @@ guard in ``tests/faults`` relies on this.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..core.mapping.registry import SpecMapping
 from ..core.testgen.testcase import TestSuite

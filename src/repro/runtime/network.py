@@ -75,7 +75,7 @@ __all__ = ["Envelope", "HANG_GUARD", "HangGuardTripped", "Network"]
 
 #: The hang guard, in seconds: the longest any testbed wait may last.
 #: Every wait ends on its event or on quiescence, the slowest bundled
-#: step takes about 0.14 s, so only a thread that never parks keeps a
+#: step takes about 0.1 s, so only a thread that never parks keeps a
 #: wait going this long — and that is a harness failure, never a verdict.
 HANG_GUARD = 60.0
 
